@@ -55,17 +55,20 @@ Status ValidateIReductParams(const IReductParams& p) {
 
 // Lines 11-12 of Figure 4 for one group: correlated resample of each
 // answer down to the new scale (costs nothing beyond the new scale,
-// Theorem 1).
+// Theorem 1). The paper reducer shares the move's (λ, λ') constants across
+// the group.
 Status ResampleGroup(const Workload& workload, const QueryGroup& group,
                      NoiseReducer reducer, double old_scale, double new_scale,
                      std::span<double> answers, BitGen& gen) {
+  if (reducer == NoiseReducer::kPaperNoiseDown) {
+    return NoiseDownGroup(
+        workload.true_answers().subspan(group.begin, group.size()),
+        answers.subspan(group.begin, group.size()), old_scale, new_scale,
+        gen);
+  }
   for (uint32_t i = group.begin; i < group.end; ++i) {
-    Result<double> reduced =
-        reducer == NoiseReducer::kPaperNoiseDown
-            ? NoiseDown(workload.true_answer(i), answers[i], old_scale,
-                        new_scale, gen)
-            : CoupledNoiseDown(workload.true_answer(i), answers[i],
-                               old_scale, new_scale, gen);
+    Result<double> reduced = CoupledNoiseDown(
+        workload.true_answer(i), answers[i], old_scale, new_scale, gen);
     if (!reduced.ok()) return reduced.status();
     answers[i] = *reduced;
   }
