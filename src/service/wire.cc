@@ -5,8 +5,10 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <utility>
 
 #include "common/status.h"
@@ -18,12 +20,40 @@ namespace {
 
 using obs::JsonValue;
 
+constexpr uint64_t kMaxU64 = std::numeric_limits<uint64_t>::max();
+
 Result<double> AsNumber(const JsonValue& v, const char* key) {
   if (!v.is(JsonValue::Kind::kNumber)) {
     return Status::InvalidArgument(std::string("field '") + key +
                                    "' must be a number");
   }
   return v.number;
+}
+
+// An integer field, parsed exactly from the raw token: plain decimal digits
+// only, at most `max`. Negative, fractional and exponent-form tokens are
+// refused rather than rounded or cast.
+Result<uint64_t> AsUnsigned(const JsonValue& v, const char* key,
+                            uint64_t max) {
+  if (!v.is(JsonValue::Kind::kNumber)) {
+    return Status::InvalidArgument(std::string("field '") + key +
+                                   "' must be a number");
+  }
+  const char* const begin = v.text.data();
+  const char* const end = begin + v.text.size();
+  uint64_t out = 0;
+  const auto [ptr, ec] = std::from_chars(begin, end, out);
+  if (ec == std::errc::result_out_of_range ||
+      (ec == std::errc() && ptr == end && out > max)) {
+    return Status::InvalidArgument(std::string("field '") + key +
+                                   "' is out of range (max " +
+                                   std::to_string(max) + ")");
+  }
+  if (ec != std::errc() || ptr != end) {
+    return Status::InvalidArgument(std::string("field '") + key +
+                                   "' must be a non-negative integer");
+  }
+  return out;
 }
 
 Result<std::string> AsString(const JsonValue& v, const char* key) {
@@ -66,10 +96,11 @@ void WriteValue(const JsonValue& v, obs::JsonWriter* w) {
   }
 }
 
-// Parses [[a,b,...],...] into per-row uint16/uint32 pairs via `emit`.
-Status ParseNestedNumberArray(
+// Parses [[a,b,...],...] of integers in [0, max] row by row via `emit`.
+Status ParseNestedIntegerArray(
     const JsonValue& v, const char* key, size_t min_inner, size_t max_inner,
-    const std::function<Status(const std::vector<double>&)>& emit) {
+    uint64_t max,
+    const std::function<Status(const std::vector<uint64_t>&)>& emit) {
   if (!v.is(JsonValue::Kind::kArray)) {
     return Status::InvalidArgument(std::string("field '") + key +
                                    "' must be an array of arrays");
@@ -83,16 +114,12 @@ Status ParseNestedNumberArray(
       return Status::InvalidArgument(std::string("field '") + key +
                                      "' has an entry of invalid length");
     }
-    std::vector<double> values;
+    std::vector<uint64_t> values;
     values.reserve(inner.array.size());
     for (const JsonValue& element : inner.array) {
-      IREDUCT_ASSIGN_OR_RETURN(const double d, AsNumber(element, key));
-      if (d < 0 || d != static_cast<double>(static_cast<uint64_t>(d))) {
-        return Status::InvalidArgument(std::string("field '") + key +
-                                       "' entries must be non-negative "
-                                       "integers");
-      }
-      values.push_back(d);
+      IREDUCT_ASSIGN_OR_RETURN(const uint64_t n,
+                               AsUnsigned(element, key, max));
+      values.push_back(n);
     }
     IREDUCT_RETURN_NOT_OK(emit(values));
   }
@@ -196,8 +223,7 @@ Result<WireRequest> WireRequest::Parse(std::string_view line) {
   bool saw_id = false, saw_op = false;
   for (const auto& [key, value] : doc.object) {
     if (key == "id") {
-      IREDUCT_ASSIGN_OR_RETURN(const double d, AsNumber(value, "id"));
-      out.id = static_cast<uint64_t>(d);
+      IREDUCT_ASSIGN_OR_RETURN(out.id, AsUnsigned(value, "id", kMaxU64));
       saw_id = true;
     } else if (key == "op") {
       IREDUCT_ASSIGN_OR_RETURN(out.op, AsString(value, "op"));
@@ -215,17 +241,20 @@ Result<WireRequest> WireRequest::Parse(std::string_view line) {
     } else if (key == "delta") {
       IREDUCT_ASSIGN_OR_RETURN(out.delta, AsNumber(value, "delta"));
     } else if (key == "seed") {
-      IREDUCT_ASSIGN_OR_RETURN(const double d, AsNumber(value, "seed"));
-      out.seed = static_cast<uint64_t>(d);
+      IREDUCT_ASSIGN_OR_RETURN(out.seed, AsUnsigned(value, "seed", kMaxU64));
     } else if (key == "lambda_steps") {
-      IREDUCT_ASSIGN_OR_RETURN(const double d, AsNumber(value, "lambda_steps"));
-      out.lambda_steps = static_cast<int64_t>(d);
+      // Sessions take the step count as an int.
+      IREDUCT_ASSIGN_OR_RETURN(
+          const uint64_t steps,
+          AsUnsigned(value, "lambda_steps", std::numeric_limits<int>::max()));
+      out.lambda_steps = static_cast<int64_t>(steps);
     } else if (key == "specs") {
       out.specs.clear();
-      IREDUCT_RETURN_NOT_OK(ParseNestedNumberArray(
-          value, "specs", 1, 64, [&out](const std::vector<double>& values) {
+      IREDUCT_RETURN_NOT_OK(ParseNestedIntegerArray(
+          value, "specs", 1, 64, std::numeric_limits<uint32_t>::max(),
+          [&out](const std::vector<uint64_t>& values) {
             MarginalSpec spec;
-            for (const double v : values) {
+            for (const uint64_t v : values) {
               spec.attributes.push_back(static_cast<uint32_t>(v));
             }
             out.specs.push_back(std::move(spec));
@@ -233,9 +262,13 @@ Result<WireRequest> WireRequest::Parse(std::string_view line) {
           }));
     } else if (key == "predicates") {
       out.query.predicates.clear();
-      IREDUCT_RETURN_NOT_OK(ParseNestedNumberArray(
-          value, "predicates", 2, 2,
-          [&out](const std::vector<double>& values) {
+      IREDUCT_RETURN_NOT_OK(ParseNestedIntegerArray(
+          value, "predicates", 2, 2, std::numeric_limits<uint32_t>::max(),
+          [&out](const std::vector<uint64_t>& values) {
+            if (values[1] > std::numeric_limits<uint16_t>::max()) {
+              return Status::InvalidArgument(
+                  "field 'predicates' value is out of range (max 65535)");
+            }
             out.query.predicates.push_back(
                 {static_cast<uint32_t>(values[0]),
                  static_cast<uint16_t>(values[1])});
@@ -285,8 +318,7 @@ Result<WireResponse> WireResponse::Parse(std::string_view line) {
   bool saw_id = false, saw_ok = false;
   for (const auto& [key, value] : doc.object) {
     if (key == "id") {
-      IREDUCT_ASSIGN_OR_RETURN(const double d, AsNumber(value, "id"));
-      out.id = static_cast<uint64_t>(d);
+      IREDUCT_ASSIGN_OR_RETURN(out.id, AsUnsigned(value, "id", kMaxU64));
       saw_id = true;
     } else if (key == "ok") {
       if (!value.is(JsonValue::Kind::kBool)) {
@@ -304,9 +336,11 @@ Result<WireResponse> WireResponse::Parse(std::string_view line) {
     } else if (key == "message") {
       IREDUCT_ASSIGN_OR_RETURN(out.message, AsString(value, "message"));
     } else if (key == "retry_after_ms") {
-      IREDUCT_ASSIGN_OR_RETURN(const double d,
-                               AsNumber(value, "retry_after_ms"));
-      out.retry_after_ms = static_cast<int64_t>(d);
+      IREDUCT_ASSIGN_OR_RETURN(
+          const uint64_t ms,
+          AsUnsigned(value, "retry_after_ms",
+                     std::numeric_limits<int64_t>::max()));
+      out.retry_after_ms = static_cast<int64_t>(ms);
     } else {
       return Status::InvalidArgument("unknown response field '" + key + "'");
     }

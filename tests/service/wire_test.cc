@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -132,6 +134,87 @@ TEST(WireRequestTest, ParseIsStrict) {
   EXPECT_FALSE(
       WireRequest::Parse(R"({"id":1,"op":"count","predicates":[[1,2,3]]})")
           .ok());
+}
+
+TEST(WireRequestTest, IntegerFieldsRoundTripExactly) {
+  // A double carries 53 bits; ids and seeds past 2^53 must survive intact.
+  const uint64_t two53 = uint64_t{1} << 53;
+  for (const uint64_t v :
+       {two53 - 1, two53, two53 + 1, std::numeric_limits<uint64_t>::max()}) {
+    WireRequest req;
+    req.id = v;
+    req.op = "open";
+    req.tenant = "t";
+    req.dataset = "d";
+    req.seed = v;
+    auto parsed = WireRequest::Parse(req.ToJson());
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    EXPECT_EQ(parsed->id, v);
+    EXPECT_EQ(parsed->seed, v);
+
+    WireResponse resp;
+    resp.id = v;
+    resp.ok = true;
+    auto parsed_resp = WireResponse::Parse(resp.ToJson());
+    ASSERT_TRUE(parsed_resp.ok()) << parsed_resp.status();
+    EXPECT_EQ(parsed_resp->id, v);
+  }
+  auto edges = WireRequest::Parse(
+      R"({"id":1,"op":"marginals","specs":[[4294967295]],)"
+      R"("lambda_steps":2147483647})");
+  ASSERT_TRUE(edges.ok()) << edges.status();
+  EXPECT_EQ(edges->specs[0].attributes[0], 4294967295u);
+  EXPECT_EQ(edges->lambda_steps, 2147483647);
+  auto predicate = WireRequest::Parse(
+      R"({"id":1,"op":"count","predicates":[[4294967295,65535]]})");
+  ASSERT_TRUE(predicate.ok()) << predicate.status();
+  EXPECT_EQ(predicate->query.predicates[0].attribute, 4294967295u);
+  EXPECT_EQ(predicate->query.predicates[0].value, 65535);
+}
+
+TEST(WireRequestTest, IntegerFieldsRefuseInexactValues) {
+  // Refused with kInvalidArgument, naming an integer field.
+  auto refused = [](const std::string& line) {
+    auto parsed = WireRequest::Parse(line);
+    if (parsed.ok()) return ::testing::AssertionFailure() << "accepted";
+    const std::string message(parsed.status().message());
+    if (parsed.status().code() != StatusCode::kInvalidArgument ||
+        (message.find("integer") == std::string::npos &&
+         message.find("out of range") == std::string::npos)) {
+      return ::testing::AssertionFailure() << parsed.status();
+    }
+    return ::testing::AssertionSuccess();
+  };
+  // 2^64, negative, fractional and exponent-form ids and seeds.
+  for (const char* bad : {"18446744073709551616", "-1", "-0", "1.5", "1.0",
+                          "1e3", "1E3", "+1"}) {
+    const std::string b(bad);
+    EXPECT_TRUE(refused(R"({"id":)" + b + R"(,"op":"ping"})")) << bad;
+    EXPECT_TRUE(refused(R"({"id":1,"op":"open","seed":)" + b + "}")) << bad;
+    EXPECT_TRUE(refused(R"({"id":1,"op":"marginals","lambda_steps":)" + b +
+                        "}"))
+        << bad;
+    EXPECT_TRUE(refused(R"({"id":1,"op":"marginals","specs":[[)" + b +
+                        "]]}"))
+        << bad;
+    EXPECT_TRUE(refused(R"({"id":1,"op":"count","predicates":[[0,)" + b +
+                        "]]}"))
+        << bad;
+  }
+  // Past the field's own width: an int step count, a uint32 attribute, a
+  // uint16 predicate value.
+  EXPECT_TRUE(
+      refused(R"({"id":1,"op":"marginals","lambda_steps":2147483648})"));
+  EXPECT_TRUE(refused(R"({"id":1,"op":"marginals","specs":[[4294967296]]})"));
+  EXPECT_TRUE(
+      refused(R"({"id":1,"op":"count","predicates":[[4294967296,0]]})"));
+  EXPECT_TRUE(refused(R"({"id":1,"op":"count","predicates":[[0,65536]]})"));
+  // Responses parse their integers the same way.
+  EXPECT_FALSE(WireResponse::Parse(R"({"id":-1,"ok":true})").ok());
+  EXPECT_FALSE(
+      WireResponse::Parse(R"({"id":18446744073709551616,"ok":true})").ok());
+  EXPECT_FALSE(
+      WireResponse::Parse(R"({"id":1,"ok":false,"retry_after_ms":2.5})").ok());
 }
 
 TEST(WireResponseTest, OkRoundTrips) {
