@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "algorithms/ireduct.h"
@@ -198,6 +199,58 @@ void BM_NoiseDownEndToEnd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NoiseDownEndToEnd);
+
+// One iReduct group move at the paper bench's operating point: λmax =
+// 40,000 reduced by λmax/150 over a 3,000-cell group of small counts, where
+// ~97% of draws take the rejection branch. NoiseDownGroup builds the
+// move's (λ, λ') constants once; the per-cell loop is what it replaces. The
+// outputs are bit-identical (noise_down_group_test enforces it); items/s is
+// draws/s. tools/check.sh perf gates group vs per-cell at >= 1.5x.
+struct GroupMoveInputs {
+  static constexpr double kLambda = 40'000;
+  static constexpr double kLambdaPrime = kLambda - kLambda / 150;
+  std::vector<double> mu = std::vector<double>(3000);
+  std::vector<double> y = std::vector<double>(3000);
+  GroupMoveInputs() {
+    BitGen gen(2011);
+    for (size_t i = 0; i < mu.size(); ++i) {
+      mu[i] = std::floor(gen.Uniform(0, 50));
+      y[i] = gen.Laplace(mu[i], kLambda);
+    }
+  }
+};
+
+void BM_NoiseDownGroup(benchmark::State& state) {
+  const GroupMoveInputs in;
+  std::vector<double> answers(in.y.size());
+  BitGen gen(5);
+  for (auto _ : state) {
+    std::copy(in.y.begin(), in.y.end(), answers.begin());
+    const Status s = NoiseDownGroup(in.mu, answers, in.kLambda,
+                                    in.kLambdaPrime, gen);
+    benchmark::DoNotOptimize(s);
+    benchmark::DoNotOptimize(answers.data());
+  }
+  state.SetItemsProcessed(state.iterations() * in.mu.size());
+}
+BENCHMARK(BM_NoiseDownGroup);
+
+void BM_NoiseDownPerCell(benchmark::State& state) {
+  const GroupMoveInputs in;
+  std::vector<double> answers(in.y.size());
+  BitGen gen(5);
+  for (auto _ : state) {
+    std::copy(in.y.begin(), in.y.end(), answers.begin());
+    for (size_t i = 0; i < answers.size(); ++i) {
+      auto yp = NoiseDown(in.mu[i], answers[i], in.kLambda, in.kLambdaPrime,
+                          gen);
+      answers[i] = *yp;
+    }
+    benchmark::DoNotOptimize(answers.data());
+  }
+  state.SetItemsProcessed(state.iterations() * in.mu.size());
+}
+BENCHMARK(BM_NoiseDownPerCell);
 
 void BM_CoupledNoiseDown(benchmark::State& state) {
   BitGen gen(4);
