@@ -1,6 +1,7 @@
 #include "data/columnar.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <array>
 #include <cstdio>
@@ -28,7 +29,8 @@ using columnar_internal::RleMaxEncoded;
 class ColumnarTest : public testing::Test {
  protected:
   void SetUp() override {
-    path_ = testing::TempDir() + "/ireduct_columnar_test.col";
+    path_ = testing::TempDir() + "/ireduct_columnar_test_" +
+            std::to_string(::getpid()) + ".col";
   }
   void TearDown() override {
     std::remove(path_.c_str());
@@ -269,7 +271,7 @@ TEST_F(ColumnarTest, CsvColumnarCsvIsByteIdentical) {
   ASSERT_TRUE(WriteColumnar(d, path_).ok());
   auto back = ReadColumnar(path_);
   ASSERT_TRUE(back.ok());
-  const std::string csv_b = testing::TempDir() + "/ireduct_columnar_rt.csv";
+  const std::string csv_b = path_ + ".rt.csv";
   ASSERT_TRUE(WriteCsv(*back, csv_b).ok());
   EXPECT_EQ(Slurp(csv_a), Slurp(csv_b));
   std::remove(csv_b.c_str());

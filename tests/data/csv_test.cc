@@ -1,6 +1,7 @@
 #include "data/csv.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <array>
 #include <cstdio>
@@ -13,7 +14,8 @@ namespace {
 class CsvTest : public testing::Test {
  protected:
   void SetUp() override {
-    path_ = testing::TempDir() + "/ireduct_csv_test.csv";
+    path_ = testing::TempDir() + "/ireduct_csv_test_" +
+            std::to_string(::getpid()) + ".csv";
   }
   void TearDown() override { std::remove(path_.c_str()); }
 

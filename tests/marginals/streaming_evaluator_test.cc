@@ -4,6 +4,7 @@
 // layout, and seed. Counts are integers, so "bit-identical" is the right
 // bar — any divergence is a real bug, not rounding.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
@@ -23,7 +24,8 @@ namespace {
 class StreamingEvaluatorTest : public testing::Test {
  protected:
   void SetUp() override {
-    path_ = testing::TempDir() + "/ireduct_streaming_test.col";
+    path_ = testing::TempDir() + "/ireduct_streaming_test_" +
+            std::to_string(::getpid()) + ".col";
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
