@@ -244,5 +244,20 @@ TEST(DatasetTest, FingerprintIsStableAndContentSensitive) {
             Dataset(std::move(s2).value()).Fingerprint());
 }
 
+TEST(DatasetTest, FingerprintMatchesPinnedValue) {
+  // Pins the hash itself, not just its stability: the value is written at
+  // byte 32 of every columnar file header, so a changed basis, prime or
+  // byte order would orphan existing files. Values >= 256 exercise the
+  // low-byte-first order of each 16-bit code.
+  auto schema = Schema::Create({{"A", 3}, {"B", 1000}});
+  ASSERT_TRUE(schema.ok());
+  Dataset d(std::move(schema).value());
+  for (const std::array<uint16_t, 2> row :
+       {std::array<uint16_t, 2>{0, 0}, {2, 258}, {1, 999}, {2, 511}}) {
+    ASSERT_TRUE(d.AppendRow(row).ok());
+  }
+  EXPECT_EQ(d.Fingerprint(), 0xc90832d27916f78dULL);
+}
+
 }  // namespace
 }  // namespace ireduct

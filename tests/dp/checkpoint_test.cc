@@ -206,6 +206,16 @@ TEST(CheckpointFingerprintTest, StructureSensitiveAnswerBlind) {
   EXPECT_NE(FingerprintWorkload(*base), FingerprintWorkload(*other_name));
 }
 
+TEST(CheckpointFingerprintTest, MatchesPinnedValue) {
+  // Pins the hash itself: every checkpoint on disk carries this value, so
+  // a changed basis, prime or byte order would refuse every resume.
+  auto w = Workload::Create(
+      {1, 2, 3, 4, 5},
+      {QueryGroup{"age", 0, 2, 2.0}, QueryGroup{"income x sex", 2, 5, 0.75}});
+  ASSERT_TRUE(w.ok());
+  EXPECT_EQ(FingerprintWorkload(*w), 0xd3c46df4aff12d3fULL);
+}
+
 TEST(JournalingCheckpointSinkTest, ChargesGrowthBeforeForwarding) {
   // An inner sink that records what it saw and whether the accountant had
   // already been charged when the write arrived.
