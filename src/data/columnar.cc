@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/logging.h"
 
 namespace ireduct {
@@ -25,60 +26,6 @@ static_assert(std::endian::native == std::endian::little,
               "columnar format assumes a little-endian host");
 
 namespace columnar_internal {
-
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3 polynomial, reflected), slice-by-8. The journal layer
-// has a nibble-table Crc32 for its short records; chunk sections here are
-// megabytes, so the 8-bytes-per-step variant earns its 8 KiB of tables.
-
-namespace {
-
-struct Crc32Tables {
-  uint32_t t[8][256];
-  Crc32Tables() {
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t crc = i;
-      for (int k = 0; k < 8; ++k) {
-        crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
-      }
-      t[0][i] = crc;
-    }
-    for (int s = 1; s < 8; ++s) {
-      for (uint32_t i = 0; i < 256; ++i) {
-        t[s][i] = (t[s - 1][i] >> 8) ^ t[0][t[s - 1][i] & 0xffu];
-      }
-    }
-  }
-};
-
-const Crc32Tables& Tables() {
-  static const Crc32Tables tables;
-  return tables;
-}
-
-}  // namespace
-
-uint32_t Crc32(const uint8_t* data, size_t n) {
-  const Crc32Tables& tb = Tables();
-  uint32_t crc = 0xFFFFFFFFu;
-  while (n >= 8) {
-    uint32_t lo;
-    uint32_t hi;
-    std::memcpy(&lo, data, 4);
-    std::memcpy(&hi, data + 4, 4);
-    lo ^= crc;
-    crc = tb.t[7][lo & 0xffu] ^ tb.t[6][(lo >> 8) & 0xffu] ^
-          tb.t[5][(lo >> 16) & 0xffu] ^ tb.t[4][lo >> 24] ^
-          tb.t[3][hi & 0xffu] ^ tb.t[2][(hi >> 8) & 0xffu] ^
-          tb.t[1][(hi >> 16) & 0xffu] ^ tb.t[0][hi >> 24];
-    data += 8;
-    n -= 8;
-  }
-  while (n-- > 0) {
-    crc = (crc >> 8) ^ tb.t[0][(crc ^ *data++) & 0xffu];
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
 
 // ---------------------------------------------------------------------------
 // Bit packing: LSB-first into a little-endian bit stream, drained through a
@@ -217,7 +164,6 @@ namespace {
 using columnar_internal::BitPack;
 using columnar_internal::BitUnpack;
 using columnar_internal::BitWidthFor;
-using columnar_internal::Crc32;
 using columnar_internal::PackedBytes;
 using columnar_internal::RleDecode;
 using columnar_internal::RleEncode;
@@ -419,16 +365,12 @@ Status WriteColumnar(const Dataset& dataset, const std::string& path,
   PutU32(header, num_blocks);
   PutU64(header, dataset.Fingerprint());
   PutU64(header, index_offset);
-  PutU32(header,
-         Crc32(reinterpret_cast<const uint8_t*>(index_bytes.data()),
-               index_bytes.size()));
+  PutU32(header, Crc32(index_bytes));
   PutU32(header, 0);  // header_crc placeholder
   IREDUCT_DCHECK(header.size() == kHeaderBytes);
   std::string crc_input = header + schema_bytes;
   crc_input.resize(data_offset, '\0');
-  const uint32_t header_crc =
-      Crc32(reinterpret_cast<const uint8_t*>(crc_input.data()),
-            crc_input.size());
+  const uint32_t header_crc = Crc32(crc_input);
   header.resize(kHeaderCrcOffset);
   PutU32(header, header_crc);
 

@@ -137,9 +137,6 @@ size_t RleEncode(const uint8_t* src, size_t n, uint8_t* dst);
 /// Byte-RLE decode of exactly `want` output bytes; fails on malformed or
 /// wrong-length streams.
 Status RleDecode(const uint8_t* src, size_t n, uint8_t* dst, size_t want);
-/// CRC32 (IEEE) over a byte range — slice-by-8, fast enough to seal
-/// multi-gigabyte chunk sections.
-uint32_t Crc32(const uint8_t* data, size_t n);
 
 }  // namespace columnar_internal
 

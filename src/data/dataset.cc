@@ -4,6 +4,7 @@
 #include <numeric>
 #include <utility>
 
+#include "common/hash.h"
 #include "common/logging.h"
 
 namespace ireduct {
@@ -208,25 +209,14 @@ Dataset Dataset::Select(std::span<const uint32_t> rows) const {
 
 uint64_t Dataset::Fingerprint() const {
   // FNV-1a 64 over the schema shape and the column-major value stream.
-  constexpr uint64_t kOffset = 1469598103934665603ULL;
-  constexpr uint64_t kPrime = 1099511628211ULL;
-  uint64_t h = kOffset;
-  const auto mix = [&h](uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (v >> (8 * byte)) & 0xff;
-      h *= kPrime;
-    }
-  };
-  mix(num_rows_);
-  mix(cols_.size());
+  // The starting value is not the standard basis; it stays because every
+  // columnar file header stores the result.
+  uint64_t h = 1469598103934665603ULL;
+  h = Fnv1a64Int(h, num_rows_);
+  h = Fnv1a64Int(h, cols_.size());
   for (size_t c = 0; c < cols_.size(); ++c) {
-    mix(schema_.attribute(c).domain_size);
-    for (uint16_t v : cols_[c]) {
-      h ^= v & 0xff;
-      h *= kPrime;
-      h ^= v >> 8;
-      h *= kPrime;
-    }
+    h = Fnv1a64Int(h, schema_.attribute(c).domain_size);
+    for (uint16_t v : cols_[c]) h = Fnv1a64Int(h, v, 2);
   }
   return h;
 }

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -12,6 +13,7 @@
 #include <utility>
 
 #include "common/fault.h"
+#include "common/hash.h"
 #include "dp/ledger_journal.h"
 #include "obs/event_log.h"
 #include "obs/json.h"
@@ -24,24 +26,6 @@ namespace {
 
 std::string ErrnoMessage(const std::string& what, const std::string& path) {
   return what + " '" + path + "': " + std::strerror(errno);
-}
-
-void HashBytes(uint64_t* h, const void* data, size_t size) {
-  constexpr uint64_t kFnvPrime = 1099511628211ULL;
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    *h ^= p[i];
-    *h *= kFnvPrime;
-  }
-}
-
-void HashU64(uint64_t* h, uint64_t v) { HashBytes(h, &v, sizeof(v)); }
-
-void HashDouble(uint64_t* h, double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  HashU64(h, bits);
 }
 
 Result<uint64_t> ParseU64Field(const obs::JsonValue& doc,
@@ -130,16 +114,16 @@ Status WriteAll(int fd, std::string_view data, const std::string& path) {
 }  // namespace
 
 uint64_t FingerprintWorkload(const Workload& workload) {
-  uint64_t h = 14695981039346656037ULL;  // FNV-1a offset basis
-  HashU64(&h, workload.num_queries());
-  HashU64(&h, workload.num_groups());
-  HashU64(&h, workload.has_custom_sensitivity() ? 1 : 0);
+  uint64_t h = kFnv1a64Basis;
+  h = Fnv1a64Int(h, workload.num_queries());
+  h = Fnv1a64Int(h, workload.num_groups());
+  h = Fnv1a64Int(h, workload.has_custom_sensitivity() ? 1 : 0);
   for (const QueryGroup& group : workload.groups()) {
-    HashU64(&h, group.begin);
-    HashU64(&h, group.end);
-    HashDouble(&h, group.sensitivity_coeff);
-    HashU64(&h, group.name.size());
-    HashBytes(&h, group.name.data(), group.name.size());
+    h = Fnv1a64Int(h, group.begin);
+    h = Fnv1a64Int(h, group.end);
+    h = Fnv1a64Int(h, std::bit_cast<uint64_t>(group.sensitivity_coeff));
+    h = Fnv1a64Int(h, group.name.size());
+    h = Fnv1a64(h, group.name.data(), group.name.size());
   }
   return h;
 }

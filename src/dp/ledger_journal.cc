@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "common/fault.h"
+#include "common/hash.h"
 #include "obs/event_log.h"
 #include "obs/json.h"
 #include "obs/log.h"
@@ -106,22 +107,6 @@ Status WriteAll(int fd, std::string_view data, const std::string& path) {
 }
 
 }  // namespace
-
-uint32_t Crc32(std::string_view data) {
-  // IEEE 802.3 reflected polynomial, nibble-at-a-time table.
-  static constexpr uint32_t kTable[16] = {
-      0x00000000, 0x1db71064, 0x3b6e20c8, 0x26d930ac,
-      0x76dc4190, 0x6b6b51f4, 0x4db26158, 0x5005713c,
-      0xedb88320, 0xf00f9344, 0xd6d6a3e8, 0xcb61b38c,
-      0x9b64c2b0, 0x86d3d2d4, 0xa00ae278, 0xbdbdf21c};
-  uint32_t crc = 0xffffffffu;
-  for (const char c : data) {
-    const auto byte = static_cast<uint8_t>(c);
-    crc = kTable[(crc ^ byte) & 0xf] ^ (crc >> 4);
-    crc = kTable[(crc ^ (byte >> 4)) & 0xf] ^ (crc >> 4);
-  }
-  return crc ^ 0xffffffffu;
-}
 
 Status SyncParentDir(const std::string& path) {
   const size_t slash = path.rfind('/');

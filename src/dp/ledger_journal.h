@@ -121,10 +121,6 @@ class LedgerJournal {
   bool poisoned_ = false;
 };
 
-/// CRC-32 (IEEE 802.3, reflected) of `data` — exposed for tests that
-/// construct journal corruption by hand.
-uint32_t Crc32(std::string_view data);
-
 /// fsyncs the directory containing `path`, making a just-completed rename
 /// into that directory durable. Shared by the journal-compaction and
 /// checkpoint rename paths.

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/random.h"
 #include "data/census_generator.h"
 #include "data/csv.h"
@@ -20,7 +21,6 @@ namespace {
 using columnar_internal::BitPack;
 using columnar_internal::BitUnpack;
 using columnar_internal::BitWidthFor;
-using columnar_internal::Crc32;
 using columnar_internal::PackedBytes;
 using columnar_internal::RleDecode;
 using columnar_internal::RleEncode;

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "common/fault.h"
+#include "common/hash.h"
 #include "dp/privacy_accountant.h"
 
 namespace ireduct {
