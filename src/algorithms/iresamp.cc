@@ -21,11 +21,6 @@ double EffectiveScale(double lambda, double lambda_max) {
   return 1.0 / (2.0 / lambda - 1.0 / lambda_max);
 }
 
-// See kAdmitGuardRel in algorithms/ireduct.cc: within this relative band of
-// ε the O(1) incremental GS defers to a full recompute so admit/retire
-// decisions match the full-recompute loop exactly.
-constexpr double kAdmitGuardRel = 1e-9;
-
 // See WriteIReductCheckpoint in algorithms/ireduct.cc; iResamp additionally
 // carries the raw sample scales and the Equation 16 inverse-variance
 // accumulators, without which a resumed run could not fold fresh samples
@@ -136,11 +131,8 @@ Result<MechanismOutput> RunIResamp(const Workload& workload,
     const double new_nominal = nominal[g] / 2.0;
     const double new_effective =
         EffectiveScale(new_nominal, params.lambda_max);
-    double gs = gs_tracker.Trial(g, new_effective);
-    if (gs_tracker.incremental() &&
-        std::fabs(gs - params.epsilon) <= kAdmitGuardRel * params.epsilon) {
-      gs = gs_tracker.TrialExact(g, new_effective);
-    }
+    const double gs =
+        gs_tracker.TrialForBudget(g, new_effective, params.epsilon);
     if (!(new_effective > 0) || gs > params.epsilon) {
       active[g] = false;  // lines 18-21
       heap.Retire(g);

@@ -8,6 +8,16 @@
 
 namespace ireduct {
 
+namespace {
+
+// Relative distance from the budget within which TrialForBudget re-takes
+// an incremental trial with a full recompute. Drift is bounded far below
+// this by the periodic resync, so the band is hit rarely and the amortized
+// cost stays O(1).
+constexpr double kBudgetGuardRel = 1e-9;
+
+}  // namespace
+
 IncrementalSensitivity::IncrementalSensitivity(const Workload& workload,
                                                std::span<const double> scales,
                                                size_t resync_interval)
@@ -42,6 +52,15 @@ double IncrementalSensitivity::TrialExact(size_t g, double new_scale) {
   scales_[g] = new_scale;
   const double gs = FullRecompute();
   scales_[g] = old_scale;
+  return gs;
+}
+
+double IncrementalSensitivity::TrialForBudget(size_t g, double new_scale,
+                                              double budget) {
+  const double gs = Trial(g, new_scale);
+  if (incremental_ && std::fabs(gs - budget) <= kBudgetGuardRel * budget) {
+    return TrialExact(g, new_scale);
+  }
   return gs;
 }
 

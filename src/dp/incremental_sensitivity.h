@@ -14,8 +14,9 @@
 //    relative envelope the property tests assert.
 //  * Exactness on demand: TrialExact()/Resync() evaluate the workload's own
 //    GeneralizedSensitivity — bit-identical to what a non-incremental loop
-//    would compute — for boundary decisions (admit vs retire within a guard
-//    band of ε) and for the final reported epsilon_spent.
+//    would compute — for boundary decisions (TrialForBudget: admit vs
+//    retire within a guard band of ε) and for the final reported
+//    epsilon_spent.
 //
 // Workloads with a custom SensitivityFn (Workload::CreateWithSensitivityFn)
 // need not decompose additively, so for them every query transparently
@@ -57,8 +58,14 @@ class IncrementalSensitivity {
 
   /// Like Trial but always a full recompute through the workload —
   /// bit-identical to Workload::GeneralizedSensitivity on the trial scale
-  /// vector. Use for decisions within a guard band of the budget.
+  /// vector.
   double TrialExact(size_t g, double new_scale);
+
+  /// The GS to test `budget` against for moving group g to `new_scale`:
+  /// Trial, re-taken as TrialExact when it lands within 1e-9 relative of
+  /// `budget`. Admit/retire decisions are then bit-identical to those of a
+  /// loop that recomputes GS from scratch, even at the budget boundary.
+  double TrialForBudget(size_t g, double new_scale, double budget);
 
   /// Applies the move: records the new scale and folds the GS delta into
   /// the running sum (or recomputes, on the fallback path). Triggers the

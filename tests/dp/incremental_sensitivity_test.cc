@@ -104,6 +104,31 @@ TEST(IncrementalSensitivityTest, LongMoveSequenceStaysWithinDriftEnvelope) {
   }
 }
 
+TEST(IncrementalSensitivityTest, TrialForBudgetIsExactInsideTheGuardBand) {
+  // With the periodic resync off the running sum drifts in its low bits.
+  // A budget equal to the O(1) trial must get the exact GS back; a budget
+  // far from it gets the O(1) trial itself.
+  BitGen gen(31);
+  const Workload w = RandomGroupedWorkload(gen, 200);
+  std::vector<double> scales(w.num_groups());
+  for (double& s : scales) s = gen.Uniform(100.0, 5000.0);
+  IncrementalSensitivity tracker(
+      w, scales, /*resync_interval=*/std::numeric_limits<size_t>::max());
+  size_t drifted_trials = 0;
+  for (int move = 0; move < 2000; ++move) {
+    const size_t g = gen.UniformInt(w.num_groups());
+    const double new_scale = scales[g] * gen.Uniform(0.7, 0.999);
+    const double trial = tracker.Trial(g, new_scale);
+    const double exact = tracker.TrialExact(g, new_scale);
+    EXPECT_EQ(tracker.TrialForBudget(g, new_scale, trial), exact);
+    EXPECT_EQ(tracker.TrialForBudget(g, new_scale, 2 * exact), trial);
+    if (trial != exact) ++drifted_trials;
+    tracker.Commit(g, new_scale);
+    scales[g] = new_scale;
+  }
+  EXPECT_GT(drifted_trials, 0u);  // the band really changed some answers
+}
+
 TEST(IncrementalSensitivityTest, PeriodicResyncErasesDrift) {
   BitGen gen(21);
   const Workload w = RandomGroupedWorkload(gen, 64);
