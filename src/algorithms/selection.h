@@ -181,8 +181,9 @@ double EstimatedGroupError(const Workload& workload, size_t g,
 /// function that returns the query that maximizes λ_i/max{y_i, δ}"):
 /// among active, reducible groups, picks the one whose worst cell has the
 /// largest estimated relative error λ_g/max{y_j, δ}. Returns kNoGroup when
-/// none qualifies. Pass to RunIReduct to optimize max instead of overall
-/// error.
+/// none qualifies. RunIReduct optimizes this objective through
+/// GroupScoreHeap when IReductParams::objective is kMaxRelativeError; this
+/// scan is the reference selector for it.
 size_t PickGroupMaxRelativeError(const Workload& workload,
                                  std::span<const double> noisy_answers,
                                  std::span<const double> group_scales,

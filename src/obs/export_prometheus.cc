@@ -28,7 +28,7 @@ std::string_view MetricHelp(std::string_view name) {
           {"eval.trials_run", "Mechanism trials executed"},
           {"events.dropped", "Structured events dropped by the ring buffer"},
           {"events.emitted", "Structured events emitted"},
-          {"ireduct.batch_rounds", "Batched NoiseDown rounds (incremental engine)"},
+          {"ireduct.batch_rounds", "Batched NoiseDown rounds (batch_size > 1)"},
           {"ireduct.group_retirements", "Query groups retired at their error target"},
           {"ireduct.gs_full_recomputes", "Generalized-sensitivity full recomputations"},
           {"ireduct.gs_incremental_hits", "Generalized-sensitivity incremental updates"},

@@ -8,6 +8,7 @@
 #include "algorithms/dwork.h"
 #include "algorithms/selection.h"
 #include "eval/metrics.h"
+#include "support/ireduct_reference.h"
 
 namespace ireduct {
 namespace {
@@ -133,10 +134,11 @@ TEST(IReductTest, DeterministicGivenSeed) {
 }
 
 TEST(IReductTest, CustomPickQueriesHookIsUsed) {
-  // A hook that refuses immediately leaves every group at λmax.
+  // A hook that refuses immediately leaves every group at λmax. Custom
+  // hooks run on the reference loop; the library loop is heap-driven.
   const Workload w = SkewedWorkload();
   BitGen gen(8);
-  auto out = RunIReduct(
+  auto out = RunIReductReference(
       w, DefaultParams(), gen,
       [](const Workload&, std::span<const double>, std::span<const double>,
          std::span<const uint8_t>, double, double) { return kNoGroup; });
@@ -162,7 +164,7 @@ TEST(IReductTest, RoundRobinHookStillRespectsBudget) {
     }
     return kNoGroup;
   };
-  auto out = RunIReduct(w, DefaultParams(), gen, round_robin);
+  auto out = RunIReductReference(w, DefaultParams(), gen, round_robin);
   ASSERT_TRUE(out.ok());
   EXPECT_LE(w.GeneralizedSensitivity(out->group_scales),
             DefaultParams().epsilon * (1 + 1e-12));

@@ -159,17 +159,6 @@ TEST(MechanismParityTest, IReductDefaultEngine) {
       });
 }
 
-TEST(MechanismParityTest, IReductNaiveEngine) {
-  CheckSpecAgainst(
-      "ireduct:epsilon=0.5,delta=2,lambda_max=40,lambda_delta=2,"
-      "engine=naive",
-      [](const Workload& w, BitGen& gen) {
-        IReductParams p = BaseIReductParams();
-        p.engine = IReductEngine::kNaive;
-        return RunIReduct(w, p, gen);
-      });
-}
-
 TEST(MechanismParityTest, IReductLambdaStepsForm) {
   // lambda_steps=20 must reproduce lambda_delta = 40/20 exactly.
   CheckSpecAgainst(

@@ -4,10 +4,11 @@
 #   tools/check.sh            # Release build + full test suite
 #   tools/check.sh san        # ASan+UBSan build + full test suite
 #   tools/check.sh no-tracing # IREDUCT_ENABLE_TRACING=OFF build + tests
-#   tools/check.sh perf       # Release perf smoke: iReduct engine scaling
-#                             # bench at small m, asserting naive/incremental
-#                             # parity and that the incremental fast path
-#                             # actually engaged (see docs/PERFORMANCE.md),
+#   tools/check.sh perf       # Release perf smoke: iReduct loop scaling
+#                             # bench at small m, asserting parity with the
+#                             # seed reference loop (tests/support) and
+#                             # that the incremental fast path actually
+#                             # engaged (see docs/PERFORMANCE.md),
 #                             # plus the SIMD kernel micro benches — on AVX2
 #                             # hardware the dispatched batch-Laplace kernel
 #                             # must beat the pinned scalar reference, and
@@ -309,7 +310,7 @@ if [ "$mode" = registry ]; then
     fi
     mkdir -p "$out_dir/$p"
     for spec in "two_phase:epsilon=0.5" \
-                "ireduct:lambda_steps=16,engine=incremental"; do
+                "ireduct:lambda_steps=16,batch_size=4"; do
       "$tool" marginals --mechanism "$spec" --rows 2000 --seed 7 \
         --epsilon 0.5 --out-dir "$out_dir/$p" > /dev/null
     done
@@ -358,7 +359,7 @@ if [ "$mode" = perf ]; then
   cmake --build --preset "$preset" -j "$(nproc)" \
     --target scaling_study micro_primitives
   # Small-m sweep keeps the smoke under a few seconds; the bench itself
-  # exits nonzero on engine-parity or fast-path failures.
+  # exits nonzero on reference-parity or fast-path failures.
   (cd build/bench &&
    SCALING_IREDUCT_ONLY=1 SCALING_M=100,1000 NAIVE_MAX_M=1000 \
      ./scaling_study)
