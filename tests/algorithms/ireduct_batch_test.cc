@@ -123,23 +123,28 @@ TEST(IReductEngineParityTest, CustomSensitivityWorkloadFallsBackAndMatches) {
 TEST(IReductBatchTest, ThreadCountDoesNotChangeResults) {
   // batch_size = 1 included: a one-move round never uses the pool, so a
   // thread count must not switch it onto the batched substream path.
+  // 1 << 20 threads is more than a host can start: the pool must stay
+  // within the round's moves and the hardware threads, not abort.
   const Workload w = ManyGroupWorkload(40);
   for (size_t batch_size : {1, 4}) {
     IReductParams p = BaseParams();
     p.batch_size = batch_size;
     p.num_threads = 1;
-    IReductParams parallel = p;
-    parallel.num_threads = 4;
-    for (uint64_t seed : {21, 22, 23}) {
-      SCOPED_TRACE(testing::Message()
-                   << "batch_size=" << batch_size << " seed=" << seed);
-      BitGen g1(seed), g2(seed);
-      auto serial = RunIReduct(w, p, g1);
-      auto threaded = RunIReduct(w, parallel, g2);
-      ASSERT_TRUE(serial.ok());
-      ASSERT_TRUE(threaded.ok());
-      ExpectIdenticalOutputs(*serial, *threaded);
-      EXPECT_GT(serial->iterations, 0u);
+    for (int threads : {4, 1 << 20}) {
+      IReductParams parallel = p;
+      parallel.num_threads = threads;
+      for (uint64_t seed : {21, 22, 23}) {
+        SCOPED_TRACE(testing::Message() << "batch_size=" << batch_size
+                                        << " num_threads=" << threads
+                                        << " seed=" << seed);
+        BitGen g1(seed), g2(seed);
+        auto serial = RunIReduct(w, p, g1);
+        auto threaded = RunIReduct(w, parallel, g2);
+        ASSERT_TRUE(serial.ok());
+        ASSERT_TRUE(threaded.ok());
+        ExpectIdenticalOutputs(*serial, *threaded);
+        EXPECT_GT(serial->iterations, 0u);
+      }
     }
   }
 }
