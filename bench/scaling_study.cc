@@ -125,11 +125,9 @@ bool RunEngineScalingSection() {
   writer.Key("points");
   writer.BeginArray();
 
-#if IREDUCT_ENABLE_TRACING
   const uint64_t hits_before =
       obs::MetricsRegistry::Global().counter("ireduct.gs_incremental_hits")
           .value();
-#endif
 
   for (const size_t m : ScalingSizes()) {
     const Workload w = PerQueryWorkload(m);
@@ -200,7 +198,6 @@ bool RunEngineScalingSection() {
   }
   writer.EndArray();
 
-#if IREDUCT_ENABLE_TRACING
   const uint64_t hits_after =
       obs::MetricsRegistry::Global().counter("ireduct.gs_incremental_hits")
           .value();
@@ -211,7 +208,6 @@ bool RunEngineScalingSection() {
   }
   writer.Key("gs_incremental_hits");
   writer.UInt(hits_after - hits_before);
-#endif
   writer.Key("parity_ok");
   writer.Bool(ok);
   writer.EndObject();

@@ -18,7 +18,6 @@
 #include "obs/event_log.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace ireduct {
 
@@ -69,14 +68,9 @@ Status ResampleGroup(const Workload& workload, const QueryGroup& group,
   return Status::OK();
 }
 
-void RecordRetirement(obs::TraceRecorder* recorder, size_t g, double scale) {
+void RecordRetirement(obs::EventLog* events, size_t g, double scale) {
   IREDUCT_METRIC_COUNT("ireduct.group_retirements", 1);
-  if (recorder != nullptr) {
-    recorder->AddInstantEvent(
-        "ireduct.retire",
-        {{"group", static_cast<double>(g)}, {"lambda", scale}});
-  }
-  if (obs::EventLog* events = obs::EventLog::Get()) {
+  if (events != nullptr) {
     events->Emit("ireduct.retire", {{"group", static_cast<uint64_t>(g)},
                                     {"lambda", scale}});
   }
@@ -153,7 +147,7 @@ Result<MechanismOutput> RunIReduct(const Workload& workload,
   }
 
   IREDUCT_SCOPED_TIMER(run_timer, "ireduct.run_seconds");
-  obs::TraceRecorder* const recorder = obs::TraceRecorder::Get();
+  obs::EventLog* const events = obs::EventLog::Get();
 
   IncrementalSensitivity gs_tracker(workload, out.group_scales);
   if (resume != nullptr) {
@@ -209,12 +203,11 @@ Result<MechanismOutput> RunIReduct(const Workload& workload,
       params.checkpoint.enabled() ? FingerprintWorkload(workload) : 0;
   // ε-delta baseline for round events; one full recompute at loop entry.
   double gs_before_round =
-      obs::EventLog::active()
-          ? workload.GeneralizedSensitivity(out.group_scales)
-          : 0;
+      events != nullptr ? workload.GeneralizedSensitivity(out.group_scales)
+                        : 0;
   for (;;) {
     const uint64_t round_start_us =
-        recorder != nullptr ? recorder->NowMicros() : 0;
+        events != nullptr ? events->NowMicros() : 0;
     round_size = 0;
 
     // Selection: pop admissible groups in score order until the round is
@@ -233,7 +226,7 @@ Result<MechanismOutput> RunIReduct(const Workload& workload,
         if (!fits) {
           active[g] = false;
           heap.Retire(g);
-          RecordRetirement(recorder, g, old_scale);
+          RecordRetirement(events, g, old_scale);
           continue;
         }
         gs_tracker.Commit(g, new_scale);
@@ -279,7 +272,7 @@ Result<MechanismOutput> RunIReduct(const Workload& workload,
       IREDUCT_METRIC_COUNT("ireduct.batch_rounds", 1);
     }
 
-    // Re-score every refined group; bookkeeping and trace per move.
+    // Re-score every refined group; bookkeeping and one span per move.
     for (size_t i = 0; i < round_size; ++i) {
       const AdmittedMove& mv = round_buf[i];
       heap.Update(mv.group, out.answers, out.group_scales);
@@ -288,30 +281,22 @@ Result<MechanismOutput> RunIReduct(const Workload& workload,
       ++out.iterations;
       IREDUCT_METRIC_COUNT("ireduct.iterations", 1);
       IREDUCT_METRIC_COUNT("ireduct.resample_draws", group.size());
-      if (recorder != nullptr) {
-        recorder->AddCompleteEvent(
-            "ireduct.iteration", round_start_us,
-            recorder->NowMicros() - round_start_us,
-            {{"group", static_cast<double>(mv.group)},
-             {"old_lambda", mv.old_scale},
-             {"new_lambda", mv.new_scale},
-             {"est_rel_error",
-              EstimatedGroupError(workload, mv.group, out.answers,
-                                  mv.new_scale, params.delta)},
-             {"gs_headroom", params.epsilon - mv.gs_after}});
-      }
-      if (obs::EventLog* events = obs::EventLog::Get()) {
+      if (events != nullptr) {
         events->Emit("ireduct.move",
                      {{"round", completed_rounds + 1},
                       {"group", static_cast<uint64_t>(mv.group)},
                       {"old_lambda", mv.old_scale},
                       {"new_lambda", mv.new_scale},
-                      {"gs_after", mv.gs_after}});
+                      {"gs_after", mv.gs_after},
+                      {"est_rel_error",
+                       EstimatedGroupError(workload, mv.group, out.answers,
+                                           mv.new_scale, params.delta)}},
+                     round_start_us);
       }
     }
 
     ++completed_rounds;
-    if (obs::EventLog* events = obs::EventLog::Get()) {
+    if (events != nullptr) {
       const double gs_now = round_buf[round_size - 1].gs_after;
       events->Emit("ireduct.round",
                    {{"round", completed_rounds},

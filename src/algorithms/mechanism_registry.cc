@@ -1,6 +1,5 @@
 #include "algorithms/mechanism_registry.h"
 
-#include <charconv>
 #include <limits>
 #include <type_traits>
 
@@ -12,6 +11,7 @@
 #include "algorithms/proportional.h"
 #include "algorithms/strategy_mechanism.h"
 #include "algorithms/two_phase.h"
+#include "common/numeric.h"
 #include "obs/json.h"
 
 namespace ireduct {
@@ -33,16 +33,6 @@ bool ValidToken(std::string_view s) {
     if (!ok) return false;
   }
   return true;
-}
-
-// Parses all of `text` as a T with std::from_chars: no '+' prefix,
-// whitespace, hex or trailing text, and a value outside T's range fails
-// instead of saturating or wrapping.
-template <typename T>
-bool ParseExact(std::string_view text, T* out) {
-  const char* const end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
-  return ec == std::errc() && ptr == end;
 }
 
 bool Declares(const MechanismInfo& info, std::string_view key) {

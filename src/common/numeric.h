@@ -1,15 +1,29 @@
 // Numerically stable kernels used by the NoiseDown distribution and the
-// evaluation code. The noise scales in the paper's experiments reach
-// |T|/10 ≈ 10^6, so quantities like cosh(1/λ) - 1 ≈ 5e-13 must be computed
-// without catastrophic cancellation.
+// evaluation code, plus the exact number parser every text surface shares.
+// The noise scales in the paper's experiments reach |T|/10 ≈ 10^6, so
+// quantities like cosh(1/λ) - 1 ≈ 5e-13 must be computed without
+// catastrophic cancellation.
 #ifndef IREDUCT_COMMON_NUMERIC_H_
 #define IREDUCT_COMMON_NUMERIC_H_
 
+#include <charconv>
 #include <cmath>
 #include <cstddef>
 #include <span>
+#include <string_view>
+#include <system_error>
 
 namespace ireduct {
+
+/// Parses all of `text` as a T with std::from_chars: no '+' prefix,
+/// whitespace, hex or trailing text, no '-' for an unsigned T, and a value
+/// outside T's range fails instead of saturating or wrapping.
+template <typename T>
+bool ParseExact(std::string_view text, T* out) {
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
 
 /// cosh(x) - 1, accurate for small |x| (uses 2·sinh²(x/2)).
 double CoshMinusOne(double x);

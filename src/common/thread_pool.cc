@@ -25,27 +25,22 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-#if IREDUCT_ENABLE_TRACING
   // Wrap the closure with queue-wait and run timing. Done at submit (not in
-  // the worker) so the enqueue timestamp rides inside the task itself; the
-  // wrapper is only paid when metrics are on.
-  if (obs::MetricsRegistry::enabled()) {
-    IREDUCT_METRIC_COUNT("thread_pool.tasks", 1);
-    task = [inner = std::move(task),
-            enqueued = std::chrono::steady_clock::now()] {
-      const auto started = std::chrono::steady_clock::now();
-      IREDUCT_METRIC_OBSERVE(
-          "thread_pool.task_wait_seconds",
-          std::chrono::duration<double>(started - enqueued).count());
-      inner();
-      IREDUCT_METRIC_OBSERVE(
-          "thread_pool.task_run_seconds",
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        started)
-              .count());
-    };
-  }
-#endif
+  // the worker) so the enqueue timestamp rides inside the task itself.
+  IREDUCT_METRIC_COUNT("thread_pool.tasks", 1);
+  task = [inner = std::move(task),
+          enqueued = std::chrono::steady_clock::now()] {
+    const auto started = std::chrono::steady_clock::now();
+    IREDUCT_METRIC_OBSERVE(
+        "thread_pool.task_wait_seconds",
+        std::chrono::duration<double>(started - enqueued).count());
+    inner();
+    IREDUCT_METRIC_OBSERVE(
+        "thread_pool.task_run_seconds",
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      started)
+            .count());
+  };
   size_t depth;
   {
     std::unique_lock<std::mutex> lock(mu_);

@@ -8,12 +8,14 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
 
 #include "common/fault.h"
 #include "common/hash.h"
+#include "common/numeric.h"
 #include "dp/ledger_journal.h"
 #include "obs/event_log.h"
 #include "obs/json.h"
@@ -28,21 +30,28 @@ std::string ErrnoMessage(const std::string& what, const std::string& path) {
   return what + " '" + path + "': " + std::strerror(errno);
 }
 
-Result<uint64_t> ParseU64Field(const obs::JsonValue& doc,
-                               std::string_view key) {
-  const obs::JsonValue* field = doc.Find(key);
-  if (field == nullptr || !field->is(obs::JsonValue::Kind::kNumber)) {
-    return Status::IoError("checkpoint is missing numeric '" +
-                           std::string(key) + "'");
-  }
-  char* end = nullptr;
-  errno = 0;
-  const uint64_t value = std::strtoull(field->text.c_str(), &end, 10);
-  if (errno != 0 || end != field->text.c_str() + field->text.size()) {
-    return Status::IoError("checkpoint has malformed integer '" +
+// Every integer in a checkpoint: the raw token must be plain decimal
+// digits for a value in [0, max]. A sign, fraction or exponent is refused,
+// never wrapped, rounded or clamped.
+Result<uint64_t> TokenToU64(const obs::JsonValue& field, std::string_view key,
+                            uint64_t max = UINT64_MAX) {
+  uint64_t value = 0;
+  if (!field.is(obs::JsonValue::Kind::kNumber) ||
+      !ParseExact(field.text, &value) || value > max) {
+    return Status::IoError("checkpoint has malformed integer in '" +
                            std::string(key) + "'");
   }
   return value;
+}
+
+Result<uint64_t> ParseU64Field(const obs::JsonValue& doc,
+                               std::string_view key) {
+  const obs::JsonValue* field = doc.Find(key);
+  if (field == nullptr) {
+    return Status::IoError("checkpoint is missing '" + std::string(key) +
+                           "'");
+  }
+  return TokenToU64(*field, key);
 }
 
 // Exact double recovery: the writer renders shortest round-trip, so
@@ -234,16 +243,8 @@ Result<RunCheckpoint> ParseCheckpoint(std::string_view text) {
     return Status::IoError("checkpoint 'rng' must be a 4-word array");
   }
   for (size_t i = 0; i < out.rng_state.size(); ++i) {
-    const obs::JsonValue& word = rng->array[i];
-    if (!word.is(obs::JsonValue::Kind::kNumber)) {
-      return Status::IoError("checkpoint 'rng' words must be integers");
-    }
-    char* end = nullptr;
-    errno = 0;
-    out.rng_state[i] = std::strtoull(word.text.c_str(), &end, 10);
-    if (errno != 0 || end != word.text.c_str() + word.text.size()) {
-      return Status::IoError("checkpoint has a malformed 'rng' word");
-    }
+    IREDUCT_ASSIGN_OR_RETURN(out.rng_state[i],
+                             TokenToU64(rng->array[i], "rng"));
   }
 
   const obs::JsonValue* gs = doc.Find("gs");
@@ -265,10 +266,9 @@ Result<RunCheckpoint> ParseCheckpoint(std::string_view text) {
   }
   out.active.reserve(active->array.size());
   for (const obs::JsonValue& flag : active->array) {
-    if (!flag.is(obs::JsonValue::Kind::kNumber)) {
-      return Status::IoError("checkpoint 'active' flags must be numbers");
-    }
-    out.active.push_back(flag.number != 0 ? 1 : 0);
+    IREDUCT_ASSIGN_OR_RETURN(const uint64_t bit,
+                             TokenToU64(flag, "active", 1));
+    out.active.push_back(static_cast<uint8_t>(bit));
   }
   IREDUCT_ASSIGN_OR_RETURN(out.nominal_scales,
                            ParseDoubleArray(doc, "nominal_scales"));

@@ -12,8 +12,8 @@
 // --events-out cannot corrupt a report snapshot taken before it.
 //
 // Serialization is deterministic for a fixed run: field order is fixed,
-// doubles render shortest round-trip, and the only wall-clock content is
-// whatever the caller opted into upstream (EventLog::set_wall_clock).
+// doubles render shortest round-trip, and no wall-clock time enters it
+// (event lines carry none).
 #ifndef IREDUCT_EVAL_RUN_REPORT_H_
 #define IREDUCT_EVAL_RUN_REPORT_H_
 
@@ -69,6 +69,11 @@ class RunReport {
 
   /// Attaches the accountant's ε ledger (budget, spent, every charge).
   void AttachLedger(const PrivacyAccountant& accountant);
+  /// The attached ledger's JSON (PrivacyAccountant::ExportLedgerJson), if
+  /// any.
+  const std::optional<std::string>& ledger_json() const {
+    return ledger_json_;
+  }
 
   /// Attaches a snapshot of `registry` (defaults to the global one).
   void AttachMetrics(

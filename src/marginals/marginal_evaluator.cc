@@ -266,23 +266,19 @@ Result<std::vector<Marginal>> MarginalSetEvaluator::Compute(
       });
     }
     pool->Wait();
-#if IREDUCT_ENABLE_TRACING
-    if (obs::MetricsRegistry::enabled()) {
-      double total_seconds = 0;
-      double max_seconds = 0;
-      for (const double s : shard_seconds) {
-        IREDUCT_METRIC_OBSERVE("marginals.shard_seconds", s);
-        total_seconds += s;
-        max_seconds = std::max(max_seconds, s);
-      }
-      const double mean_seconds = total_seconds / num_shards;
-      // max/mean ≈ 1 means even shards; > 1 quantifies straggler loss.
-      if (mean_seconds > 0) {
-        IREDUCT_METRIC_GAUGE_SET("marginals.shard_imbalance",
-                                 max_seconds / mean_seconds);
-      }
+    double total_seconds = 0;
+    double max_seconds = 0;
+    for (const double s : shard_seconds) {
+      IREDUCT_METRIC_OBSERVE("marginals.shard_seconds", s);
+      total_seconds += s;
+      max_seconds = std::max(max_seconds, s);
     }
-#endif
+    const double mean_seconds = total_seconds / num_shards;
+    // max/mean ≈ 1 means even shards; > 1 quantifies straggler loss.
+    if (mean_seconds > 0) {
+      IREDUCT_METRIC_GAUGE_SET("marginals.shard_imbalance",
+                               max_seconds / mean_seconds);
+    }
     // Fixed shard order; with integer counts any order gives the same sum.
     for (size_t s = 0; s < num_shards; ++s) {
       const uint32_t* src = shard_counts[s].data();

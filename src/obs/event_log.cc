@@ -1,9 +1,6 @@
 #include "obs/event_log.h"
 
-#if IREDUCT_ENABLE_TRACING
-
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <fstream>
 #include <utility>
@@ -37,7 +34,8 @@ EventField::EventField(std::string_view k, std::string_view v)
 std::atomic<EventLog*> EventLog::installed_{nullptr};
 
 EventLog::EventLog(size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {}
+    : capacity_(capacity == 0 ? 1 : capacity),
+      origin_(std::chrono::steady_clock::now()) {}
 
 EventLog* EventLog::Get() {
   return installed_.load(std::memory_order_acquire);
@@ -47,8 +45,23 @@ void EventLog::Install(EventLog* log) {
   installed_.store(log, std::memory_order_release);
 }
 
+uint64_t EventLog::NowMicros() const {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - origin_)
+          .count());
+}
+
 void EventLog::Emit(std::string_view type,
-                    std::initializer_list<EventField> fields) {
+                    std::initializer_list<EventField> fields,
+                    std::optional<uint64_t> start_us) {
+  Record(type, std::span(fields.begin(), fields.size()), start_us);
+}
+
+void EventLog::Record(std::string_view type,
+                      std::span<const EventField> fields,
+                      std::optional<uint64_t> start_us) {
+  const uint64_t now_us = NowMicros();
   std::string line;
   bool dropped = false;
   {
@@ -61,35 +74,33 @@ void EventLog::Emit(std::string_view type,
       json.Key(field.key);
       json.RawValue(field.json);
     }
-    if (wall_clock_) {
-      const auto now = std::chrono::system_clock::now().time_since_epoch();
-      json.KV("unix_ms",
-              static_cast<uint64_t>(
-                  std::chrono::duration_cast<std::chrono::milliseconds>(now)
-                      .count()));
-    }
     json.EndObject();
     ++next_seq_;
-    ++by_type_[std::string(type)];
-    if (lines_.size() == capacity_) {
-      lines_.pop_front();
+    auto by_type = by_type_.find(type);
+    if (by_type == by_type_.end()) {
+      by_type = by_type_.emplace(std::string(type), 0).first;
+    }
+    ++by_type->second;
+    if (events_.size() == capacity_) {
+      events_.pop_front();
       ++dropped_;
       dropped = true;
     }
-    lines_.push_back(std::move(line));
+    if (start_us.has_value()) {
+      events_.push_back(Event{std::move(line), &by_type->first, *start_us,
+                              now_us - *start_us});
+    } else {
+      events_.push_back(
+          Event{std::move(line), &by_type->first, now_us, std::nullopt});
+    }
   }
   IREDUCT_METRIC_COUNT("events.emitted", 1);
   if (dropped) IREDUCT_METRIC_COUNT("events.dropped", 1);
 }
 
-void EventLog::set_wall_clock(bool on) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  wall_clock_ = on;
-}
-
 size_t EventLog::size() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return lines_.size();
+  return events_.size();
 }
 
 uint64_t EventLog::total_emitted() const {
@@ -110,27 +121,34 @@ uint64_t EventLog::CountType(std::string_view type) const {
 
 std::vector<std::string> EventLog::SnapshotLines() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return {lines_.begin(), lines_.end()};
+  std::vector<std::string> lines;
+  lines.reserve(events_.size());
+  for (const Event& event : events_) lines.push_back(event.line);
+  return lines;
 }
 
 std::string EventLog::SnapshotJsonl() const {
   const std::lock_guard<std::mutex> lock(mu_);
   std::string out;
-  for (const std::string& line : lines_) {
+  for (const Event& event : events_) {
     if (!out.empty()) out.push_back('\n');
-    out += line;
+    out += event.line;
   }
   return out;
 }
 
 std::string EventLog::SummaryJson() const {
   const std::lock_guard<std::mutex> lock(mu_);
+  return SummaryJsonLocked();
+}
+
+std::string EventLog::SummaryJsonLocked() const {
   std::string out;
   JsonWriter json(&out);
   json.BeginObject();
   json.KV("emitted", next_seq_);
   json.KV("dropped", dropped_);
-  json.KV("buffered", static_cast<uint64_t>(lines_.size()));
+  json.KV("buffered", static_cast<uint64_t>(events_.size()));
   json.Key("by_type");
   json.BeginObject();
   for (const auto& [type, count] : by_type_) json.KV(type, count);
@@ -139,13 +157,56 @@ std::string EventLog::SummaryJson() const {
   return out;
 }
 
+std::string EventLog::ChromeTraceJson(
+    std::span<const std::pair<std::string, std::string>> other_data) const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  std::string out;
+  JsonWriter json(&out);
+  json.BeginObject();
+  json.Key("traceEvents");
+  json.BeginArray();
+  for (const Event& event : events_) {
+    json.BeginObject();
+    json.KV("name", *event.type);
+    json.KV("ph", event.dur_us.has_value() ? "X" : "i");
+    // Single-process, single-track model: everything the library records
+    // belongs to one timeline.
+    json.Key("pid");
+    json.Int(1);
+    json.Key("tid");
+    json.Int(1);
+    json.KV("ts", event.start_us);
+    if (event.dur_us.has_value()) {
+      json.KV("dur", *event.dur_us);
+    } else {
+      json.KV("s", "t");  // instant scope: thread
+    }
+    json.Key("args");
+    json.RawValue(event.line);
+    json.EndObject();
+  }
+  json.EndArray();
+  json.KV("displayTimeUnit", "ms");
+  json.Key("otherData");
+  json.BeginObject();
+  json.Key("events");
+  json.RawValue(SummaryJsonLocked());
+  for (const auto& [key, value] : other_data) {
+    json.Key(key);
+    json.RawValue(value);
+  }
+  json.EndObject();
+  json.EndObject();
+  return out;
+}
+
 void EventLog::Drain(std::string* out) {
   const std::lock_guard<std::mutex> lock(mu_);
-  for (std::string& line : lines_) {
-    out->append(line);
+  for (const Event& event : events_) {
+    out->append(event.line);
     out->push_back('\n');
   }
-  lines_.clear();
+  events_.clear();
 }
 
 Status EventLog::WriteFile(const std::string& path) {
@@ -154,8 +215,8 @@ Status EventLog::WriteFile(const std::string& path) {
   std::string payload;
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    for (const std::string& line : lines_) {
-      payload += line;
+    for (const Event& event : events_) {
+      payload += event.line;
       payload.push_back('\n');
     }
   }
@@ -189,10 +250,8 @@ Status EventLog::WriteFile(const std::string& path) {
 
 void EventLog::Clear() {
   const std::lock_guard<std::mutex> lock(mu_);
-  lines_.clear();
+  events_.clear();
 }
 
 }  // namespace obs
 }  // namespace ireduct
-
-#endif  // IREDUCT_ENABLE_TRACING

@@ -1,13 +1,12 @@
 // Structured JSONL event stream: a bounded in-memory ring of serialized
 // events, drained explicitly by the edge that wants them (the CLI behind
-// --events-out, a bench, a test).
+// --events-out, a bench, a test). It is the library's only event sink:
+// --trace-out's Chrome trace is another view of the same buffer
+// (ChromeTraceJson).
 //
-// An EventLog is installed process-wide (EventLog::Install) like a
-// TraceRecorder; while none is installed, the EventLog::Get() check at each
-// call site is a single atomic load and nothing is recorded. With
-// IREDUCT_ENABLE_TRACING=OFF the whole facility compiles to empty inline
-// stubs (Get() is a constant nullptr, so guarded emission blocks fold
-// away).
+// An EventLog is installed process-wide (EventLog::Install); while none is
+// installed, the EventLog::Get() check at each call site is a single atomic
+// load and nothing is recorded.
 //
 // Each event is one JSON object on one line:
 //   {"seq":12,"type":"ireduct.round","round":3,...}
@@ -16,32 +15,26 @@
 // a serialization bug. Content is deterministic for a fixed workload and
 // seed: events are only emitted from sequential (post-parallel) code, field
 // order is fixed at the call site, and doubles render shortest-round-trip.
-// The one opt-in exception is set_wall_clock(true), which appends a
-// "unix_ms" field for operators who want real timestamps and accept
-// non-reproducible bytes.
+// Times never enter a line: each buffered event keeps its steady-clock
+// start (and a span its duration) beside the line, for the trace view only.
 #ifndef IREDUCT_OBS_EVENT_LOG_H_
 #define IREDUCT_OBS_EVENT_LOG_H_
 
-// Normally injected by the build (PUBLIC on the ireduct target); default to
-// enabled for out-of-tree includes.
-#ifndef IREDUCT_ENABLE_TRACING
-#define IREDUCT_ENABLE_TRACING 1
-#endif
-
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <deque>
 #include <initializer_list>
+#include <map>
+#include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
-
-#if IREDUCT_ENABLE_TRACING
-
-#include <atomic>
-#include <deque>
-#include <map>
-#include <mutex>
 
 namespace ireduct {
 namespace obs {
@@ -77,13 +70,15 @@ class EventLog {
   static void Install(EventLog* log);
   static bool active() { return Get() != nullptr; }
 
-  /// Records one event. `type` is a lowercase dotted identifier
-  /// ("ireduct.round"); fields serialize in the given order.
-  void Emit(std::string_view type, std::initializer_list<EventField> fields);
+  /// Steady-clock microseconds since this log was created: the clock of
+  /// span starts.
+  uint64_t NowMicros() const;
 
-  /// Opt-in wall-clock stamping: appends "unix_ms" to every subsequent
-  /// event. Off by default to keep event bytes reproducible.
-  void set_wall_clock(bool on);
+  /// Records one event. `type` is a lowercase dotted identifier
+  /// ("ireduct.round"); fields serialize in the given order. With a
+  /// `start_us` (from NowMicros) the event is a span that ends now.
+  void Emit(std::string_view type, std::initializer_list<EventField> fields,
+            std::optional<uint64_t> start_us = std::nullopt);
 
   /// Currently buffered (emitted, not yet drained or dropped) events.
   size_t size() const;
@@ -103,6 +98,17 @@ class EventLog {
   /// names sorted.
   std::string SummaryJson() const;
 
+  /// Renders the buffered events as a Chrome trace_event object (load it
+  /// in chrome://tracing or ui.perfetto.dev) without draining them:
+  ///   {"traceEvents":[{"name":TYPE,"ph":"X"|"i",...,"args":LINE},...],
+  ///    "displayTimeUnit":"ms","otherData":{"events":SummaryJson(),...}}
+  /// Spans get "ph":"X" with their duration, other events "ph":"i"; `args`
+  /// is the event's own line. Each `other_data` pair (key, pre-serialized
+  /// JSON value) is appended under otherData.
+  std::string ChromeTraceJson(
+      std::span<const std::pair<std::string, std::string>> other_data =
+          {}) const;
+
   /// Moves every buffered line (each newline-terminated) onto the end of
   /// `*out` and empties the buffer. Counters and sequence numbers keep
   /// running.
@@ -121,63 +127,60 @@ class EventLog {
   EventLog& operator=(const EventLog&) = delete;
 
  private:
+  friend class EventSpan;
+
+  struct Event {
+    std::string line;
+    const std::string* type;  // key in by_type_, which never shrinks
+    uint64_t start_us;
+    std::optional<uint64_t> dur_us;  // spans only
+  };
+
+  void Record(std::string_view type, std::span<const EventField> fields,
+              std::optional<uint64_t> start_us);
+  std::string SummaryJsonLocked() const;  // requires mu_
+
   static std::atomic<EventLog*> installed_;
 
   const size_t capacity_;
+  const std::chrono::steady_clock::time_point origin_;
   mutable std::mutex mu_;
-  std::deque<std::string> lines_;
+  std::deque<Event> events_;
   uint64_t next_seq_ = 0;
   uint64_t dropped_ = 0;
-  bool wall_clock_ = false;
   std::map<std::string, uint64_t, std::less<>> by_type_;
 };
 
-}  // namespace obs
-}  // namespace ireduct
-
-#else  // !IREDUCT_ENABLE_TRACING
-
-namespace ireduct {
-namespace obs {
-
-// Compile-time-disabled stubs: Get() is a constant nullptr, so
-// `if (EventLog* log = EventLog::Get())` emission blocks fold away.
-struct EventField {
-  EventField(std::string_view, uint64_t) {}
-  EventField(std::string_view, int64_t) {}
-  EventField(std::string_view, int) {}
-  EventField(std::string_view, double) {}
-  EventField(std::string_view, std::string_view) {}
-};
-
-class EventLog {
+/// RAII span: emits `type` with the fields added so far when it goes out
+/// of scope, timed from construction, on the log installed at construction
+/// (if any). `type` must outlive the span (pass a literal).
+class EventSpan {
  public:
-  explicit EventLog(size_t = 0) {}
-  static constexpr EventLog* Get() { return nullptr; }
-  static void Install(EventLog*) {}
-  static constexpr bool active() { return false; }
-
-  void Emit(std::string_view, std::initializer_list<EventField>) {}
-  void set_wall_clock(bool) {}
-  size_t size() const { return 0; }
-  uint64_t total_emitted() const { return 0; }
-  uint64_t total_dropped() const { return 0; }
-  uint64_t CountType(std::string_view) const { return 0; }
-  std::vector<std::string> SnapshotLines() const { return {}; }
-  std::string SnapshotJsonl() const { return std::string(); }
-  std::string SummaryJson() const {
-    return "{\"emitted\":0,\"dropped\":0,\"buffered\":0,\"by_type\":{}}";
+  explicit EventSpan(std::string_view type)
+      : log_(EventLog::Get()),
+        type_(type),
+        start_us_(log_ != nullptr ? log_->NowMicros() : 0) {}
+  ~EventSpan() {
+    if (log_ != nullptr) log_->Record(type_, fields_, start_us_);
   }
-  void Drain(std::string*) {}
-  Status WriteFile(const std::string&) { return Status::OK(); }
-  void Clear() {}
 
-  static constexpr size_t kDefaultCapacity = 0;
+  /// Appends a field; a no-op when nothing is recording.
+  template <typename T>
+  void Field(std::string_view key, const T& value) {
+    if (log_ != nullptr) fields_.emplace_back(key, value);
+  }
+
+  EventSpan(const EventSpan&) = delete;
+  EventSpan& operator=(const EventSpan&) = delete;
+
+ private:
+  EventLog* const log_;
+  const std::string_view type_;
+  const uint64_t start_us_;
+  std::vector<EventField> fields_;
 };
 
 }  // namespace obs
 }  // namespace ireduct
-
-#endif  // IREDUCT_ENABLE_TRACING
 
 #endif  // IREDUCT_OBS_EVENT_LOG_H_

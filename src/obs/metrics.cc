@@ -30,8 +30,6 @@ class PairLock {
 };
 }  // namespace
 
-std::atomic<bool> MetricsRegistry::enabled_{true};
-
 std::vector<double> ExponentialBuckets(double start, double factor,
                                        size_t count) {
   IREDUCT_CHECK(start > 0 && factor > 1 && count > 0);

@@ -3,8 +3,7 @@
 // Instrumented code records through the IREDUCT_METRIC_* macros below, which
 // cache a pointer to the metric on first use (one mutex-guarded lookup per
 // call site per process) and then cost a single atomic operation per event —
-// cheap enough for the NoiseDown rejection loop. When the library is built
-// with IREDUCT_ENABLE_TRACING=OFF the macros expand to nothing.
+// cheap enough for the NoiseDown rejection loop.
 //
 // Naming convention: lowercase dotted `subsystem.metric`, with a unit
 // suffix where one applies (`_seconds`). Counters only go up; gauges hold a
@@ -16,12 +15,6 @@
 // metric names sorted lexicographically within each kind.
 #ifndef IREDUCT_OBS_METRICS_H_
 #define IREDUCT_OBS_METRICS_H_
-
-// Normally injected by the build (PUBLIC on the ireduct target); default to
-// enabled for out-of-tree includes.
-#ifndef IREDUCT_ENABLE_TRACING
-#define IREDUCT_ENABLE_TRACING 1
-#endif
 
 #include <atomic>
 #include <chrono>
@@ -139,15 +132,6 @@ class MetricsRegistry {
  public:
   static MetricsRegistry& Global();
 
-  /// Runtime master switch consulted by the IREDUCT_METRIC_* macros
-  /// (default on). Direct method calls are not gated.
-  static bool enabled() {
-    return enabled_.load(std::memory_order_relaxed);
-  }
-  static void set_enabled(bool on) {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
-
   /// Finds or creates the named metric. A name identifies one kind only;
   /// asking for an existing name under a different kind dies (programmer
   /// error).
@@ -173,8 +157,6 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
  private:
-  static std::atomic<bool> enabled_;
-
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
@@ -204,9 +186,7 @@ class ScopedTimer {
 /// Pre-registers every metric the library emits (names, kinds, bucket
 /// bounds) in the global registry, so exporters and run reports show the
 /// full schema — zero-valued — even for subsystems a given run never
-/// exercised. Idempotent. Works in no-tracing builds too (the registry
-/// always exists; only the recording macros compile away), so reports keep
-/// a stable shape across build flavors.
+/// exercised. Idempotent.
 void RegisterStandardMetrics();
 
 }  // namespace obs
@@ -214,33 +194,25 @@ void RegisterStandardMetrics();
 
 // Instrumentation macros. `name` must be a string literal (it names a
 // process-lifetime metric cached in a function-local static).
-#if IREDUCT_ENABLE_TRACING
-
 #define IREDUCT_METRIC_COUNT(name, n)                                      \
   do {                                                                     \
-    if (::ireduct::obs::MetricsRegistry::enabled()) {                      \
-      static ::ireduct::obs::Counter& ireduct_metric_counter =             \
-          ::ireduct::obs::MetricsRegistry::Global().counter(name);         \
-      ireduct_metric_counter.Increment(n);                                 \
-    }                                                                      \
+    static ::ireduct::obs::Counter& ireduct_metric_counter =               \
+        ::ireduct::obs::MetricsRegistry::Global().counter(name);           \
+    ireduct_metric_counter.Increment(n);                                   \
   } while (false)
 
 #define IREDUCT_METRIC_GAUGE_SET(name, v)                                  \
   do {                                                                     \
-    if (::ireduct::obs::MetricsRegistry::enabled()) {                      \
-      static ::ireduct::obs::Gauge& ireduct_metric_gauge =                 \
-          ::ireduct::obs::MetricsRegistry::Global().gauge(name);           \
-      ireduct_metric_gauge.Set(v);                                         \
-    }                                                                      \
+    static ::ireduct::obs::Gauge& ireduct_metric_gauge =                   \
+        ::ireduct::obs::MetricsRegistry::Global().gauge(name);             \
+    ireduct_metric_gauge.Set(v);                                           \
   } while (false)
 
 #define IREDUCT_METRIC_OBSERVE(name, v)                                    \
   do {                                                                     \
-    if (::ireduct::obs::MetricsRegistry::enabled()) {                      \
-      static ::ireduct::obs::Histogram& ireduct_metric_histogram =         \
-          ::ireduct::obs::MetricsRegistry::Global().histogram(name);       \
-      ireduct_metric_histogram.Observe(v);                                 \
-    }                                                                      \
+    static ::ireduct::obs::Histogram& ireduct_metric_histogram =           \
+        ::ireduct::obs::MetricsRegistry::Global().histogram(name);         \
+    ireduct_metric_histogram.Observe(v);                                   \
   } while (false)
 
 // IREDUCT_METRIC_OBSERVE with explicit bucket bounds (a std::span<const
@@ -249,37 +221,14 @@ void RegisterStandardMetrics();
 // share a helper like ByteBucketBounds() rather than inlining literals.
 #define IREDUCT_METRIC_OBSERVE_BUCKETS(name, v, bounds)                    \
   do {                                                                     \
-    if (::ireduct::obs::MetricsRegistry::enabled()) {                      \
-      static ::ireduct::obs::Histogram& ireduct_metric_histogram =         \
-          ::ireduct::obs::MetricsRegistry::Global().histogram(name,        \
-                                                             bounds);      \
-      ireduct_metric_histogram.Observe(v);                                 \
-    }                                                                      \
+    static ::ireduct::obs::Histogram& ireduct_metric_histogram =           \
+        ::ireduct::obs::MetricsRegistry::Global().histogram(name, bounds); \
+    ireduct_metric_histogram.Observe(v);                                   \
   } while (false)
 
 // Times the enclosing scope into histogram `name` (seconds).
 #define IREDUCT_SCOPED_TIMER(var, name)                                    \
   ::ireduct::obs::ScopedTimer var(                                         \
       ::ireduct::obs::MetricsRegistry::Global().histogram(name))
-
-#else  // !IREDUCT_ENABLE_TRACING
-
-#define IREDUCT_METRIC_COUNT(name, n) \
-  do {                                \
-  } while (false)
-#define IREDUCT_METRIC_GAUGE_SET(name, v) \
-  do {                                    \
-  } while (false)
-#define IREDUCT_METRIC_OBSERVE(name, v) \
-  do {                                  \
-  } while (false)
-#define IREDUCT_METRIC_OBSERVE_BUCKETS(name, v, bounds) \
-  do {                                                  \
-  } while (false)
-#define IREDUCT_SCOPED_TIMER(var, name) \
-  do {                                  \
-  } while (false)
-
-#endif  // IREDUCT_ENABLE_TRACING
 
 #endif  // IREDUCT_OBS_METRICS_H_

@@ -9,7 +9,6 @@
 #include "obs/event_log.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace ireduct {
 
@@ -360,8 +359,8 @@ void QueryServer::DispatcherLoop() {
 }
 
 void QueryServer::ExecuteBatch(std::vector<Request> batch) {
-  obs::TraceSpan span("server.batch");
-  span.Arg("width", static_cast<double>(batch.size()));
+  obs::EventLog* const log = obs::EventLog::Get();
+  const uint64_t batch_start_us = log != nullptr ? log->NowMicros() : 0;
 
   // Phase A — coalesce the marginal requests by dataset fingerprint and
   // derive every request's *true* tables in one fused pass per dataset,
@@ -417,10 +416,12 @@ void QueryServer::ExecuteBatch(std::vector<Request> batch) {
     std::lock_guard<std::mutex> lock(mu_);
     stats_.fused_passes += fused_groups;
   }
-  if (obs::EventLog* log = obs::EventLog::Get()) {
+  // A span over Phase A only: Phase B's requests carry their own spans.
+  if (log != nullptr) {
     log->Emit("server.batch",
               {{"width", static_cast<uint64_t>(batch.size())},
-               {"fused_groups", fused_groups}});
+               {"fused_groups", fused_groups}},
+              batch_start_us);
   }
 
   // Phase B — resolve every request strictly in admission order on this

@@ -220,7 +220,6 @@ TEST(IReductBatchTest, ValidatesBatchParams) {
   EXPECT_FALSE(RunIReduct(w, p, gen).ok());
 }
 
-#if IREDUCT_ENABLE_TRACING
 TEST(IReductBatchTest, ExercisesIncrementalInstrumentation) {
   const Workload w = ManyGroupWorkload(20);
   auto& registry = obs::MetricsRegistry::Global();
@@ -232,7 +231,6 @@ TEST(IReductBatchTest, ExercisesIncrementalInstrumentation) {
   EXPECT_GT(registry.counter("ireduct.gs_incremental_hits").value(),
             hits_before);
 }
-#endif  // IREDUCT_ENABLE_TRACING
 
 }  // namespace
 }  // namespace ireduct

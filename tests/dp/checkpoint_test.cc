@@ -6,8 +6,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "common/fault.h"
+#include "dp/ledger_journal.h"
 #include "dp/privacy_accountant.h"
 #include "dp/workload.h"
 
@@ -89,6 +91,31 @@ TEST(CheckpointSerializationTest, TamperedRecordIsRefused) {
   auto parsed = ParseCheckpoint(text);
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kIoError);
+}
+
+// Integers are parsed exactly or refused. Each edited record is re-sealed
+// with a fresh CRC, so only the integer parse stands between it and a
+// resumed run.
+TEST(CheckpointSerializationTest, InexactIntegersAreRefused) {
+  std::string body;
+  ASSERT_TRUE(UnsealJsonRecord(SerializeCheckpoint(TestCheckpoint()), &body));
+  const std::pair<std::string, std::string> edits[] = {
+      {"\"round\":12", "\"round\":-1"},
+      {"\"iterations\":96", "\"iterations\":-96"},
+      {"\"rng\":[16045690984503111693", "\"rng\":[-1"},
+      {"\"round\":12", "\"round\":+12"},
+      {"\"version\":1", "\"version\":+1"},
+      {"\"active\":[1", "\"active\":[0.5"},
+      {"\"active\":[1", "\"active\":[-3"},
+  };
+  for (const auto& [from, to] : edits) {
+    std::string edited = body;
+    const size_t at = edited.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    edited.replace(at, from.size(), to);
+    auto parsed = ParseCheckpoint(SealJsonRecord(edited));
+    EXPECT_FALSE(parsed.ok()) << to << " was accepted";
+  }
 }
 
 TEST(CheckpointSerializationTest, TruncatedRecordIsRefused) {

@@ -132,9 +132,7 @@ TEST(NoiseDownGroupTest, MatchesPerCellLoopOverAdversarialGrid) {
         const RunResult group = RunGroup(mu, y, lambda * step,
                                          lambda_prime * step, step, seed);
         ExpectSame(group, cell, what);
-#if IREDUCT_ENABLE_TRACING
         EXPECT_EQ(cell.counters.samples, mu.size()) << what;
-#endif
         ++seed;
       }
     }
@@ -154,9 +152,7 @@ TEST(NoiseDownGroupTest, PaperOperatingPointMatchesPerCellLoop) {
   const RunResult cell = RunPerCell(mu, y, lambda, lambda_prime, 1.0, 7);
   const RunResult group = RunGroup(mu, y, lambda, lambda_prime, 1.0, 7);
   ExpectSame(group, cell, "paper operating point");
-#if IREDUCT_ENABLE_TRACING
   EXPECT_GT(cell.counters.envelope_draws, mu.size() / 2);
-#endif
 }
 
 TEST(NoiseDownGroupTest, EmptyGroupIsANoOp) {

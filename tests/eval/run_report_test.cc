@@ -111,7 +111,6 @@ TEST(RunReportTest, FullReportShape) {
   EXPECT_DOUBLE_EQ(
       metrics->Find("counters")->Find("report.counter")->number, 5.0);
 
-#if IREDUCT_ENABLE_TRACING
   const minijson::Value* evts = parsed->Find("events");
   ASSERT_NE(evts, nullptr);
   EXPECT_DOUBLE_EQ(evts->Find("summary")->Find("emitted")->number, 1.0);
@@ -120,7 +119,6 @@ TEST(RunReportTest, FullReportShape) {
             "report.event");
   // Attaching copied, never drained.
   EXPECT_EQ(events.size(), 1u);
-#endif
 }
 
 TEST(RunReportTest, TableListsEverySection) {
@@ -148,7 +146,6 @@ TEST(RunReportTest, WriteFileRoundTrips) {
   std::remove(path.c_str());
 }
 
-#if IREDUCT_ENABLE_TRACING
 // The crash-safety contract: the report snapshots the event stream before
 // any drain, so a drain that fails partway (fault-injected truncation)
 // cannot corrupt an already-assembled report.
@@ -183,7 +180,6 @@ TEST(RunReportTest, PartiallyDrainedEventLogNeverCorruptsReport) {
   EXPECT_EQ(parsed->Find("events")->Find("stream")->array.size(), 8u);
   std::remove(path.c_str());
 }
-#endif  // IREDUCT_ENABLE_TRACING
 
 }  // namespace
 }  // namespace ireduct

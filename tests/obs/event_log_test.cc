@@ -20,8 +20,6 @@ namespace ireduct {
 namespace obs {
 namespace {
 
-#if IREDUCT_ENABLE_TRACING
-
 // Restores the (empty) installed state even when a test fails mid-body.
 class ScopedInstall {
  public:
@@ -95,17 +93,6 @@ TEST(EventLogTest, SummaryCountsByTypeAcrossDrains) {
   EXPECT_EQ(log.SummaryJson(),
             "{\"emitted\":4,\"dropped\":0,\"buffered\":1,"
             "\"by_type\":{\"test.a\":3,\"test.b\":1}}");
-}
-
-TEST(EventLogTest, WallClockIsOptIn) {
-  EventLog log;
-  log.Emit("test.clock", {});
-  log.set_wall_clock(true);
-  log.Emit("test.clock", {});
-  const std::vector<std::string> lines = log.SnapshotLines();
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[0].find("unix_ms"), std::string::npos);
-  EXPECT_NE(lines[1].find("\"unix_ms\":"), std::string::npos);
 }
 
 TEST(EventLogTest, InstallRoutesEmissionGlobally) {
@@ -218,22 +205,6 @@ TEST(EventLogTest, ConcurrentEmitIsLossless) {
     first = false;
   }
 }
-
-#else  // !IREDUCT_ENABLE_TRACING
-
-TEST(EventLogTest, StubsAreInertAndFree) {
-  EventLog log;
-  EXPECT_EQ(EventLog::Get(), nullptr);
-  EXPECT_FALSE(EventLog::active());
-  log.Emit("test.stub", {{"i", 1}});
-  EXPECT_EQ(log.size(), 0u);
-  EXPECT_EQ(log.total_emitted(), 0u);
-  EXPECT_EQ(log.SummaryJson(),
-            "{\"emitted\":0,\"dropped\":0,\"buffered\":0,\"by_type\":{}}");
-  EXPECT_TRUE(log.WriteFile("/nonexistent/dir/file").ok());
-}
-
-#endif  // IREDUCT_ENABLE_TRACING
 
 }  // namespace
 }  // namespace obs

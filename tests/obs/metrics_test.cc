@@ -293,7 +293,6 @@ TEST(MetricsRegistryTest, SnapshotIsDeterministic) {
   EXPECT_EQ(registry.SnapshotJson(), registry.SnapshotJson());
 }
 
-#if IREDUCT_ENABLE_TRACING
 TEST(MetricsMacroTest, CountsIntoGlobalRegistry) {
   const uint64_t before =
       MetricsRegistry::Global().counter("macro.count").value();
@@ -301,18 +300,6 @@ TEST(MetricsMacroTest, CountsIntoGlobalRegistry) {
   EXPECT_EQ(MetricsRegistry::Global().counter("macro.count").value(),
             before + 3);
 }
-
-TEST(MetricsMacroTest, RuntimeDisableSkipsRecording) {
-  IREDUCT_METRIC_COUNT("macro.disabled", 1);  // registers the metric
-  const uint64_t before =
-      MetricsRegistry::Global().counter("macro.disabled").value();
-  MetricsRegistry::set_enabled(false);
-  IREDUCT_METRIC_COUNT("macro.disabled", 1);
-  MetricsRegistry::set_enabled(true);
-  EXPECT_EQ(MetricsRegistry::Global().counter("macro.disabled").value(),
-            before);
-}
-#endif  // IREDUCT_ENABLE_TRACING
 
 }  // namespace
 }  // namespace obs

@@ -1,5 +1,5 @@
 // End-to-end observability: run the real iReduct mechanism and a real
-// private session with a trace recorder installed, then assert that the
+// private session with an event log installed, then assert that the
 // trace/metrics/ledger views all agree with the mechanism's own outputs.
 #include <gtest/gtest.h>
 
@@ -12,8 +12,8 @@
 #include "dp/privacy_accountant.h"
 #include "dp/workload.h"
 #include "minijson.h"
+#include "obs/event_log.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "service/private_session.h"
 
 namespace ireduct {
@@ -32,44 +32,42 @@ IReductParams SmallParams() {
   return params;
 }
 
-#if IREDUCT_ENABLE_TRACING
-
 TEST(ObsIntegrationTest, OneTraceSpanPerIReductIteration) {
   auto workload = SmallWorkload();
   ASSERT_TRUE(workload.ok());
 
-  obs::TraceRecorder recorder;
-  obs::TraceRecorder::Install(&recorder);
+  obs::EventLog log;
+  obs::EventLog::Install(&log);
   BitGen gen(2011);
   auto out = RunIReduct(*workload, SmallParams(), gen);
-  obs::TraceRecorder::Install(nullptr);
+  obs::EventLog::Install(nullptr);
 
   ASSERT_TRUE(out.ok());
   ASSERT_GT(out->iterations, 0u);
-  EXPECT_EQ(recorder.CountEventsNamed("ireduct.iteration"),
-            out->iterations);
+  EXPECT_EQ(log.CountType("ireduct.move"), out->iterations);
 
-  // Every iteration span carries the full annotation set, and the λ move
-  // matches the configured step.
-  auto parsed = minijson::Parse(recorder.ToJson());
+  // Every move is a span carrying the full field set, the λ move matches
+  // the configured step, and the GS after it stays within ε.
+  auto parsed = minijson::Parse(log.ChromeTraceJson());
   ASSERT_TRUE(parsed.has_value());
-  size_t iteration_spans = 0;
+  size_t move_spans = 0;
   for (const minijson::Value& event :
        parsed->Find("traceEvents")->array) {
-    if (event.Find("name")->text != "ireduct.iteration") continue;
-    ++iteration_spans;
+    if (event.Find("name")->text != "ireduct.move") continue;
+    ++move_spans;
+    EXPECT_EQ(event.Find("ph")->text, "X");
     const minijson::Value* args = event.Find("args");
     ASSERT_NE(args, nullptr);
-    for (const char* key : {"group", "old_lambda", "new_lambda",
-                            "est_rel_error", "gs_headroom"}) {
+    for (const char* key : {"round", "group", "old_lambda", "new_lambda",
+                            "gs_after", "est_rel_error"}) {
       ASSERT_NE(args->Find(key), nullptr) << key;
     }
     EXPECT_NEAR(args->Find("old_lambda")->number -
                     args->Find("new_lambda")->number,
                 SmallParams().lambda_delta, 1e-9);
-    EXPECT_GE(args->Find("gs_headroom")->number, 0.0);
+    EXPECT_LE(args->Find("gs_after")->number, SmallParams().epsilon);
   }
-  EXPECT_EQ(iteration_spans, out->iterations);
+  EXPECT_EQ(move_spans, out->iterations);
 }
 
 TEST(ObsIntegrationTest, MetricsCountersTrackMechanismOutput) {
@@ -103,27 +101,41 @@ TEST(ObsIntegrationTest, SessionTraceCarriesEpsilonAndLedgerMatches) {
                     .ok());
   }
 
-  obs::TraceRecorder recorder;
-  obs::TraceRecorder::Install(&recorder);
+  obs::EventLog log;
+  obs::EventLog::Install(&log);
   auto session = PrivateQuerySession::Create(&dataset, 1.0, 11);
   ASSERT_TRUE(session.ok());
   ASSERT_TRUE(session->CountQuery(ConjunctiveQuery{{{0, 1}}}, 0.25).ok());
   const std::vector<MarginalSpec> specs = {MarginalSpec{{0}}};
   ASSERT_TRUE(session->PublishMarginals(specs, 0.5, 2.0, 50).ok());
-  obs::TraceRecorder::Install(nullptr);
+  obs::EventLog::Install(nullptr);
 
-  EXPECT_EQ(recorder.CountEventsNamed("session.count_query"), 1u);
-  EXPECT_EQ(recorder.CountEventsNamed("session.publish_marginals"), 1u);
+  EXPECT_EQ(log.CountType("session.count_query"), 1u);
+  EXPECT_EQ(log.CountType("session.publish_marginals"), 1u);
 
-  // The count-query span advertises exactly the ε slice charged.
-  auto parsed = minijson::Parse(recorder.ToJson());
+  // The count-query span advertises exactly the ε slice charged, and the
+  // release span its mechanism, table count and spend.
+  auto parsed = minijson::Parse(log.ChromeTraceJson());
   ASSERT_TRUE(parsed.has_value());
   for (const minijson::Value& event :
        parsed->Find("traceEvents")->array) {
-    if (event.Find("name")->text == "session.count_query") {
+    const std::string& name = event.Find("name")->text;
+    if (name.rfind("session.", 0) == 0) {
+      EXPECT_EQ(event.Find("ph")->text, "X");
+    }
+    if (name == "session.count_query") {
       EXPECT_DOUBLE_EQ(event.Find("args")->Find("epsilon")->number, 0.25);
     }
+    if (name == "session.publish_marginals") {
+      const minijson::Value* args = event.Find("args");
+      EXPECT_EQ(args->Find("mechanism")->text, "ireduct");
+      EXPECT_DOUBLE_EQ(args->Find("marginals")->number, 1.0);
+      EXPECT_DOUBLE_EQ(args->Find("epsilon_spent")->number,
+                       session->ledger()[1].epsilon);
+    }
   }
+  // Counts are written as integers.
+  EXPECT_NE(log.SnapshotJsonl().find("\"marginals\":1,"), std::string::npos);
 
   // The session ledger accounts for both releases and sums to spent().
   ASSERT_EQ(session->ledger().size(), 2u);
@@ -133,8 +145,6 @@ TEST(ObsIntegrationTest, SessionTraceCarriesEpsilonAndLedgerMatches) {
   }
   EXPECT_DOUBLE_EQ(ledger_total, session->spent());
 }
-
-#endif  // IREDUCT_ENABLE_TRACING
 
 TEST(ObsIntegrationTest, AccountantExportTotalsMatchSpent) {
   auto workload = SmallWorkload();

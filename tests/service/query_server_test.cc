@@ -9,7 +9,9 @@
 #include <string>
 #include <vector>
 
+#include "marginals/marginal_cache.h"
 #include "marginals/marginal_set.h"
+#include "obs/event_log.h"
 #include "obs/json.h"
 #include "service/wire.h"
 
@@ -229,6 +231,27 @@ TEST(QueryServerTest, BatchedResponsesMatchSerialGolden) {
       }
     }
   }
+}
+
+// The served event stream is part of the determinism contract: one batch
+// of twelve requests yields the same JSONL bytes at 1 and 8 workers. Times
+// never enter the lines, so this is the span tree with timestamps stripped.
+TEST(QueryServerTest, EventStreamIsTheSameAtOneAndEightWorkers) {
+  const Dataset d = MakeDataset();
+  constexpr int kTenants = 3;
+  auto run = [&](int workers) {
+    MarginalCache::Global().Clear();
+    obs::EventLog log;
+    obs::EventLog::Install(&log);
+    RunScriptThroughServer(d, 100, kTenants, workers, /*batching=*/true);
+    obs::EventLog::Install(nullptr);
+    EXPECT_EQ(log.CountType("server.batch"), 1u);
+    EXPECT_EQ(log.CountType("session.publish_marginals"), 2u * kTenants);
+    EXPECT_EQ(log.CountType("session.count_query"), 2u * kTenants);
+    return log.SnapshotJsonl();
+  };
+  const std::string one = run(1);
+  EXPECT_EQ(one, run(8));
 }
 
 TEST(QueryServerTest, BatchingCoalescesIntoFusedPasses) {

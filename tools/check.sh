@@ -3,7 +3,6 @@
 #
 #   tools/check.sh            # Release build + full test suite
 #   tools/check.sh san        # ASan+UBSan build + full test suite
-#   tools/check.sh no-tracing # IREDUCT_ENABLE_TRACING=OFF build + tests
 #   tools/check.sh perf       # Release perf smoke: iReduct loop scaling
 #                             # bench at small m, asserting parity with the
 #                             # seed reference loop (tests/support) and
@@ -16,8 +15,7 @@
 #                             # reference loop, by >= 2x (KERNEL_MIN_SPEEDUP);
 #                             # and on any host one NoiseDownGroup move must
 #                             # beat the per-cell NoiseDown loop by >= 1.5x
-#   tools/check.sh registry   # Mechanism-registry smoke: builds ireduct_tool
-#                             # under the default and no-tracing presets,
+#   tools/check.sh registry   # Mechanism-registry smoke: builds ireduct_tool,
 #                             # asserts --list-mechanisms enumerates the
 #                             # builtin set and matches its golden copy,
 #                             # runs two spec-driven marginal releases
@@ -53,12 +51,15 @@
 #                             # speedup gate), and an end-to-end
 #                             # serve/client NDJSON round trip over a
 #                             # real Unix socket
-#   tools/check.sh obs        # Telemetry smoke: runs the event-log /
+#   tools/check.sh obs        # Telemetry smoke: runs the event-log / trace /
 #                             # exposition / run-report tests, drives
 #                             # ireduct_tool with --report-out/--events-out/
-#                             # --prom-out and validates the artifacts, and
-#                             # proves the report survives a fault-injected
-#                             # event drain and a no-tracing build
+#                             # --prom-out/--trace-out/--metrics-out,
+#                             # validates the artifacts, cross-checks the
+#                             # trace against the metrics
+#                             # (tools/check_trace.py), and proves the
+#                             # report survives a fault-injected event
+#                             # drain (run_report_test)
 #   tools/check.sh format     # clang-format style gate over src/tests/
 #                             # tools/bench/examples (skips locally when
 #                             # clang-format is missing; CI enforces it)
@@ -77,10 +78,10 @@ cd "$(dirname "$0")/.."
 
 mode="${1:-default}"
 case "$mode" in
-  default|san|no-tracing|perf|registry|queries|data|threads|service|obs|format|ci) ;;
+  default|san|perf|registry|queries|data|threads|service|obs|format|ci) ;;
   *)
-    echo "usage: tools/check.sh [san|no-tracing|perf|registry|queries|data|" \
-         "threads|service|obs|format|ci]" >&2
+    echo "usage: tools/check.sh [san|perf|registry|queries|data|threads|" \
+         "service|obs|format|ci]" >&2
     exit 2
     ;;
 esac
@@ -256,13 +257,12 @@ fi
 
 if [ "$mode" = obs ]; then
   # Telemetry smoke: unit-test the pipeline, then prove the end-to-end
-  # artifacts (--report-out / --events-out / --prom-out) carry what the
-  # docs promise — and that the run report still works with tracing
-  # compiled out.
+  # artifacts (--report-out / --events-out / --prom-out / --trace-out /
+  # --metrics-out) carry what the docs promise.
   out_dir="$(mktemp -d)"
   trap 'rm -rf "$out_dir"' EXIT
-  obs_tests="obs_metrics_test event_log_test export_prometheus_test \
-             run_report_test"
+  obs_tests="obs_metrics_test event_log_test obs_trace_test \
+             export_prometheus_test run_report_test"
   cmake --preset default
   # shellcheck disable=SC2086  # word splitting is the point
   cmake --build --preset default -j "$(nproc)" \
@@ -275,59 +275,47 @@ if [ "$mode" = obs ]; then
     --epsilon 0.5 --mechanism ireduct --out-dir "$out_dir" \
     --report-out "$out_dir/report.json" \
     --events-out "$out_dir/events.jsonl" \
-    --prom-out "$out_dir/metrics.prom" > /dev/null
+    --prom-out "$out_dir/metrics.prom" \
+    --trace-out "$out_dir/trace.json" \
+    --metrics-out "$out_dir/metrics.json" > /dev/null
   grep -q '"report_version"' "$out_dir/report.json"
   grep -q '"overall_error"' "$out_dir/report.json"
   grep -q '^# TYPE ' "$out_dir/metrics.prom"
   grep -q '"type":"ireduct.round"' "$out_dir/events.jsonl"
-  echo "obs smoke [default]: report + events + exposition OK"
-  cmake --preset no-tracing
-  cmake --build --preset no-tracing -j "$(nproc)" --target ireduct_tool
-  ./build-no-tracing/tools/ireduct_tool marginals --rows 2000 --seed 7 \
-    --epsilon 0.5 --mechanism ireduct --out-dir "$out_dir" \
-    --report-out "$out_dir/report-nt.json" > /dev/null
-  grep -q '"report_version"' "$out_dir/report-nt.json"
-  grep -q '"overall_error"' "$out_dir/report-nt.json"
-  echo "obs smoke [no-tracing]: run report still written"
+  python3 tools/check_trace.py "$out_dir/trace.json" "$out_dir/metrics.json"
+  echo "obs smoke: report + events + exposition + trace OK"
   exit 0
 fi
 
 if [ "$mode" = registry ]; then
-  # Spec dispatch must behave identically with tracing compiled out, so the
-  # smoke runs under both presets.
   out_dir="$(mktemp -d)"
   trap 'rm -rf "$out_dir"' EXIT
-  for p in default no-tracing; do
-    cmake --preset "$p"
-    cmake --build --preset "$p" -j "$(nproc)" --target ireduct_tool
-    build_dir=build
-    [ "$p" = no-tracing ] && build_dir=build-no-tracing
-    tool="$build_dir/tools/ireduct_tool"
-    count="$("$tool" --list-mechanisms |
-             sed -n 's/^registered mechanisms (\([0-9]*\)):$/\1/p')"
-    if [ -z "$count" ] || [ "$count" -lt 6 ]; then
-      echo "registry smoke [$p]: expected >=6 registered mechanisms," \
-           "got '${count:-none}'" >&2
-      exit 1
-    fi
-    "$tool" --list-mechanisms |
-      diff -u tests/integration/list_mechanisms.golden -
-    mkdir -p "$out_dir/$p"
-    for spec in "two_phase:epsilon=0.5" \
-                "ireduct:lambda_steps=16,batch_size=4"; do
-      "$tool" marginals --mechanism "$spec" --rows 2000 --seed 7 \
-        --epsilon 0.5 --out-dir "$out_dir/$p" > /dev/null
-    done
-    # Spec numbers are parsed exactly: a thread count beyond int is
-    # refused, not wrapped to 2.
-    if "$tool" marginals --mechanism "ireduct:num_threads=4294967298" \
-         --rows 2000 --seed 7 --epsilon 0.5 --out-dir "$out_dir/$p" \
-         > /dev/null 2>&1; then
-      echo "registry smoke [$p]: num_threads=4294967298 was accepted" >&2
-      exit 1
-    fi
-    echo "registry smoke [$p]: $count mechanisms, spec-driven runs OK"
+  cmake --preset default
+  cmake --build --preset default -j "$(nproc)" --target ireduct_tool
+  tool=build/tools/ireduct_tool
+  count="$("$tool" --list-mechanisms |
+           sed -n 's/^registered mechanisms (\([0-9]*\)):$/\1/p')"
+  if [ -z "$count" ] || [ "$count" -lt 6 ]; then
+    echo "registry smoke: expected >=6 registered mechanisms," \
+         "got '${count:-none}'" >&2
+    exit 1
+  fi
+  "$tool" --list-mechanisms |
+    diff -u tests/integration/list_mechanisms.golden -
+  for spec in "two_phase:epsilon=0.5" \
+              "ireduct:lambda_steps=16,batch_size=4"; do
+    "$tool" marginals --mechanism "$spec" --rows 2000 --seed 7 \
+      --epsilon 0.5 --out-dir "$out_dir" > /dev/null
   done
+  # Spec numbers are parsed exactly: a thread count beyond int is
+  # refused, not wrapped to 2.
+  if "$tool" marginals --mechanism "ireduct:num_threads=4294967298" \
+       --rows 2000 --seed 7 --epsilon 0.5 --out-dir "$out_dir" \
+       > /dev/null 2>&1; then
+    echo "registry smoke: num_threads=4294967298 was accepted" >&2
+    exit 1
+  fi
+  echo "registry smoke: $count mechanisms, spec-driven runs OK"
   exit 0
 fi
 

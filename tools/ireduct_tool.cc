@@ -84,14 +84,23 @@
 //       Prints every registered mechanism with its privacy status and
 //       accepted spec parameters.
 //
+// Every numeric flag value must parse exactly as its type (no sign on a
+// count, no '+', no trailing text, in range): `--rows 12x` or
+// `--max-queue -1` names the flag on stderr and exits 2 before the
+// command starts any work.
+//
 // Observability flags (valid for every command, `--flag value` or
 // `--flag=value`):
 //   --log-level LEVEL   debug|info|warn|error|off (default warn, or the
 //                       IREDUCT_LOG_LEVEL environment variable)
-//   --trace-out FILE    write a Chrome trace_event JSON (open it in
-//                       chrome://tracing or ui.perfetto.dev) with one span
-//                       per iReduct iteration and the privacy ledger
-//                       attached under otherData.privacy_ledger
+//   --trace-out FILE    write the event stream as a Chrome trace_event JSON
+//                       (open it in chrome://tracing or ui.perfetto.dev):
+//                       one ireduct.move span per iReduct iteration, the
+//                       session and server.batch spans, every other event
+//                       as an instant, the stream summary under
+//                       otherData.events and the privacy ledger under
+//                       otherData.privacy_ledger. Holds the newest 65,536
+//                       events
 //   --metrics-out FILE  write the process metrics snapshot JSON (counters,
 //                       gauges — including privacy.epsilon_spent —, and
 //                       histograms)
@@ -119,10 +128,12 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/numeric.h"
 #include "ireduct.h"
 
 namespace {
@@ -158,6 +169,25 @@ std::string FlagOr(const std::map<std::string, std::string>& flags,
   return it == flags.end() ? fallback : it->second;
 }
 
+// The value of numeric flag `name`, or `fallback` when it is absent. The
+// whole value must parse as a T (ParseExact: no sign on an unsigned flag,
+// no '+', whitespace or trailing text, in range); otherwise the flag is
+// named on stderr and the tool exits 2. Commands read their numeric flags
+// before they start a thread or create a socket or file.
+template <typename T>
+T NumericFlag(const std::map<std::string, std::string>& flags,
+              const std::string& name, T fallback) {
+  const auto it = flags.find(name);
+  if (it == flags.end()) return fallback;
+  T value{};
+  if (!ParseExact(it->second, &value)) {
+    std::fprintf(stderr, "invalid value for --%s: '%s'\n", name.c_str(),
+                 it->second.c_str());
+    std::exit(2);
+  }
+  return value;
+}
+
 Result<Dataset> MakeCensus(const std::map<std::string, std::string>& flags) {
   CensusConfig config;
   const std::string kind = FlagOr(flags, "kind", "brazil");
@@ -168,10 +198,8 @@ Result<Dataset> MakeCensus(const std::map<std::string, std::string>& flags) {
   } else {
     return Status::InvalidArgument("--kind must be brazil or us");
   }
-  config.rows = std::strtoull(FlagOr(flags, "rows", "100000").c_str(),
-                              nullptr, 10);
-  config.seed =
-      std::strtoull(FlagOr(flags, "seed", "2011").c_str(), nullptr, 10);
+  config.rows = NumericFlag<uint64_t>(flags, "rows", 100000);
+  config.seed = NumericFlag<uint64_t>(flags, "seed", 2011);
   return GenerateCensus(config);
 }
 
@@ -192,10 +220,8 @@ Result<Dataset> MakeProfileDataset(
                            ParseDataProfile(FlagOr(flags, "profile",
                                                    "census")));
   IREDUCT_ASSIGN_OR_RETURN(config.kind, ParseKindFlag(flags));
-  config.rows = std::strtoull(FlagOr(flags, "rows", "100000").c_str(),
-                              nullptr, 10);
-  config.seed =
-      std::strtoull(FlagOr(flags, "seed", "2011").c_str(), nullptr, 10);
+  config.rows = NumericFlag<uint64_t>(flags, "rows", 100000);
+  config.seed = NumericFlag<uint64_t>(flags, "seed", 2011);
   return GenerateProfile(config);
 }
 
@@ -203,8 +229,7 @@ Result<Dataset> MakeProfileDataset(
 ColumnarWriteOptions ColumnarOptionsFromFlags(
     const std::map<std::string, std::string>& flags) {
   ColumnarWriteOptions options;
-  options.block_rows = static_cast<uint32_t>(std::strtoul(
-      FlagOr(flags, "block-rows", "65536").c_str(), nullptr, 10));
+  options.block_rows = NumericFlag<uint32_t>(flags, "block-rows", 65536);
   options.zero_copy_layout = FlagOr(flags, "zero-copy", "0") != "0";
   options.compress = FlagOr(flags, "no-compress", "0") == "0";
   return options;
@@ -487,7 +512,7 @@ int CmdMarginals(const std::map<std::string, std::string>& flags,
     std::fprintf(stderr, "%s\n", dataset.status().ToString().c_str());
     return 1;
   }
-  const int k = std::atoi(FlagOr(flags, "k", "1").c_str());
+  const int k = NumericFlag(flags, "k", 1);
   auto specs = AllKWaySpecs(dataset->schema(), k);
   if (!specs.ok()) {
     std::fprintf(stderr, "%s\n", specs.status().ToString().c_str());
@@ -500,12 +525,12 @@ int CmdMarginals(const std::map<std::string, std::string>& flags,
     return 1;
   }
 
-  const double epsilon =
-      std::strtod(FlagOr(flags, "epsilon", "0.01").c_str(), nullptr);
+  const double epsilon = NumericFlag(flags, "epsilon", 0.01);
   const double n = static_cast<double>(dataset->num_rows());
   const double delta = 1e-4 * n;
-  const int steps = std::atoi(FlagOr(flags, "steps", "200").c_str());
-  BitGen gen(std::strtoull(FlagOr(flags, "seed", "1").c_str(), nullptr, 10));
+  const int steps = NumericFlag(flags, "steps", 200);
+  const uint64_t seed = NumericFlag<uint64_t>(flags, "seed", 1);
+  BitGen gen(seed);
   const std::string mechanism_text = FlagOr(flags, "mechanism", "ireduct");
   auto spec = MechanismSpec::Parse(mechanism_text);
   if (!spec.ok()) {
@@ -519,9 +544,7 @@ int CmdMarginals(const std::map<std::string, std::string>& flags,
   report->SetRunField("kind", FlagOr(flags, "kind", "brazil"));
   report->SetRunField("rows", static_cast<uint64_t>(dataset->num_rows()));
   report->SetRunField("k", static_cast<uint64_t>(k));
-  report->SetRunField(
-      "seed", static_cast<uint64_t>(std::strtoull(
-                  FlagOr(flags, "seed", "1").c_str(), nullptr, 10)));
+  report->SetRunField("seed", seed);
   report->SetRunField("epsilon", epsilon);
   report->SetRunField("delta", delta);
   report->SetRunField("steps", static_cast<uint64_t>(steps));
@@ -533,8 +556,8 @@ int CmdMarginals(const std::map<std::string, std::string>& flags,
   if (!journal_path.empty()) {
     const std::string checkpoint_path =
         FlagOr(flags, "checkpoint", journal_path + ".ckpt");
-    const uint64_t checkpoint_every = std::strtoull(
-        FlagOr(flags, "checkpoint-every", "8").c_str(), nullptr, 10);
+    const uint64_t checkpoint_every =
+        NumericFlag<uint64_t>(flags, "checkpoint-every", 8);
     const std::string resume = FlagOr(flags, "resume", "0");
     auto prepared =
         SetUpCrashSafeRun(journal_path, checkpoint_path, checkpoint_every,
@@ -569,10 +592,6 @@ int CmdMarginals(const std::map<std::string, std::string>& flags,
         }
       }
     }
-    if (auto* recorder = obs::TraceRecorder::Get()) {
-      recorder->SetOtherData("privacy_ledger",
-                             crash_safe.accountant->ExportLedgerJson());
-    }
     report->AttachLedger(*crash_safe.accountant);
   } else if (out->is_private() && out->epsilon_spent > 0) {
     // Mirror the release through an accountant so the run carries a
@@ -591,10 +610,6 @@ int CmdMarginals(const std::map<std::string, std::string>& flags,
           !s.ok()) {
         std::fprintf(stderr, "%s\n", s.ToString().c_str());
         return 1;
-      }
-      if (auto* recorder = obs::TraceRecorder::Get()) {
-        recorder->SetOtherData("privacy_ledger",
-                               accountant->ExportLedgerJson());
       }
       report->AttachLedger(*accountant);
     }
@@ -634,7 +649,7 @@ int CmdCompare(const std::map<std::string, std::string>& flags) {
     std::fprintf(stderr, "%s\n", dataset.status().ToString().c_str());
     return 1;
   }
-  const int k = std::atoi(FlagOr(flags, "k", "1").c_str());
+  const int k = NumericFlag(flags, "k", 1);
   auto specs = AllKWaySpecs(dataset->schema(), k);
   auto marginals = ComputeMarginals(*dataset, *specs);
   auto mw = MarginalWorkload::Create(std::move(*marginals));
@@ -642,13 +657,11 @@ int CmdCompare(const std::map<std::string, std::string>& flags) {
     std::fprintf(stderr, "%s\n", mw.status().ToString().c_str());
     return 1;
   }
-  const double epsilon =
-      std::strtod(FlagOr(flags, "epsilon", "0.01").c_str(), nullptr);
+  const double epsilon = NumericFlag(flags, "epsilon", 0.01);
   const double n = static_cast<double>(dataset->num_rows());
   const double delta = 1e-4 * n;
-  const int trials = std::atoi(FlagOr(flags, "trials", "3").c_str());
-  const uint64_t seed =
-      std::strtoull(FlagOr(flags, "seed", "1").c_str(), nullptr, 10);
+  const int trials = NumericFlag(flags, "trials", 3);
+  const uint64_t seed = NumericFlag<uint64_t>(flags, "seed", 1);
 
   // Semicolon-separated mechanism specs; default is the Section 6 suite.
   std::vector<std::string> spec_texts;
@@ -724,16 +737,12 @@ Result<std::vector<MarginalSpec>> ParseSpecsArg(const std::string& text) {
   std::string token;
   MarginalSpec current;
   auto flush_attr = [&]() -> Status {
-    if (token.empty()) {
-      return Status::InvalidArgument("--specs has an empty attribute index");
-    }
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(token.c_str(), &end, 10);
-    if (end == token.c_str() || *end != '\0') {
+    uint32_t v = 0;
+    if (!ParseExact(token, &v)) {
       return Status::InvalidArgument("--specs index '" + token +
-                                     "' is not a number");
+                                     "' is not an attribute index");
     }
-    current.attributes.push_back(static_cast<uint32_t>(v));
+    current.attributes.push_back(v);
     token.clear();
     return Status::OK();
   };
@@ -767,11 +776,15 @@ Result<ConjunctiveQuery> ParsePredicatesArg(const std::string& text) {
       return Status::InvalidArgument("--predicates entry '" + pair +
                                      "' is not attr=value");
     }
-    query.predicates.push_back(
-        {static_cast<uint32_t>(std::strtoul(pair.substr(0, eq).c_str(),
-                                            nullptr, 10)),
-         static_cast<uint16_t>(std::strtoul(pair.substr(eq + 1).c_str(),
-                                            nullptr, 10))});
+    EqualityPredicate predicate;
+    if (!ParseExact(std::string_view(pair).substr(0, eq),
+                    &predicate.attribute) ||
+        !ParseExact(std::string_view(pair).substr(eq + 1),
+                    &predicate.value)) {
+      return Status::InvalidArgument("--predicates entry '" + pair +
+                                     "' is not attr=value");
+    }
+    query.predicates.push_back(predicate);
     start = comma + 1;
   }
   return query;
@@ -784,33 +797,35 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
     return 2;
   }
   QueryServerConfig config;
-  config.workers = std::atoi(FlagOr(flags, "workers", "1").c_str());
-  config.max_queue =
-      std::strtoull(FlagOr(flags, "max-queue", "256").c_str(), nullptr, 10);
-  config.max_inflight_per_tenant =
-      std::atoi(FlagOr(flags, "tenant-cap", "8").c_str());
-  config.max_batch =
-      std::strtoull(FlagOr(flags, "max-batch", "16").c_str(), nullptr, 10);
+  config.workers = NumericFlag(flags, "workers", 1);
+  config.max_queue = NumericFlag<size_t>(flags, "max-queue", 256);
+  config.max_inflight_per_tenant = NumericFlag(flags, "tenant-cap", 8);
+  config.max_batch = NumericFlag<size_t>(flags, "max-batch", 16);
   config.batching = FlagOr(flags, "no-batch", "0") == "0";
   config.journal_dir = FlagOr(flags, "journal-dir", "");
-  config.retry_after_ms =
-      std::atoi(FlagOr(flags, "retry-after-ms", "50").c_str());
+  config.retry_after_ms = NumericFlag(flags, "retry-after-ms", 50);
+  const std::string dataset_name = FlagOr(flags, "dataset-name", "default");
+  const std::string data = FlagOr(flags, "data", "");
+  // Generated before the server starts its threads, so a bad --rows or
+  // --seed exits with nothing running.
+  std::optional<Dataset> generated;
+  if (data.empty()) {
+    auto dataset = MakeProfileDataset(flags);
+    if (!dataset.ok()) {
+      std::fprintf(stderr, "%s\n", dataset.status().ToString().c_str());
+      return 1;
+    }
+    generated = std::move(*dataset);
+  }
   auto server = QueryServer::Create(config);
   if (!server.ok()) {
     std::fprintf(stderr, "%s\n", server.status().ToString().c_str());
     return 1;
   }
-  const std::string dataset_name = FlagOr(flags, "dataset-name", "default");
-  const std::string data = FlagOr(flags, "data", "");
-  Status load = Status::OK();
-  if (!data.empty()) {
-    load = (*server)->AddDatasetFile(dataset_name, data);
-  } else {
-    auto dataset = MakeProfileDataset(flags);
-    load = dataset.ok()
-               ? (*server)->AddDataset(dataset_name, std::move(*dataset))
-               : dataset.status();
-  }
+  const Status load =
+      generated.has_value()
+          ? (*server)->AddDataset(dataset_name, std::move(*generated))
+          : (*server)->AddDatasetFile(dataset_name, data);
   if (!load.ok()) {
     std::fprintf(stderr, "%s\n", load.ToString().c_str());
     return 1;
@@ -853,17 +868,15 @@ int CmdClient(const std::map<std::string, std::string>& flags) {
     return 2;
   }
   WireRequest request;
-  request.id = std::strtoull(FlagOr(flags, "id", "1").c_str(), nullptr, 10);
+  request.id = NumericFlag<uint64_t>(flags, "id", 1);
   request.op = FlagOr(flags, "op", "ping");
   request.tenant = FlagOr(flags, "tenant", "");
   request.dataset = FlagOr(flags, "dataset", "default");
-  request.budget = std::strtod(FlagOr(flags, "budget", "1").c_str(), nullptr);
-  request.seed =
-      std::strtoull(FlagOr(flags, "seed", "1").c_str(), nullptr, 10);
-  request.epsilon =
-      std::strtod(FlagOr(flags, "epsilon", "0.1").c_str(), nullptr);
-  request.delta = std::strtod(FlagOr(flags, "delta", "0.05").c_str(), nullptr);
-  request.lambda_steps = std::atoi(FlagOr(flags, "steps", "200").c_str());
+  request.budget = NumericFlag(flags, "budget", 1.0);
+  request.seed = NumericFlag<uint64_t>(flags, "seed", 1);
+  request.epsilon = NumericFlag(flags, "epsilon", 0.1);
+  request.delta = NumericFlag(flags, "delta", 0.05);
+  request.lambda_steps = NumericFlag<int64_t>(flags, "steps", 200);
   request.mechanism = FlagOr(flags, "mechanism", "ireduct");
   if (const std::string specs = FlagOr(flags, "specs", ""); !specs.empty()) {
     auto parsed = ParseSpecsArg(specs);
@@ -948,26 +961,11 @@ int main(int argc, char** argv) {
   const std::string events_out = TakeFlag(&flags, "events-out");
   const std::string prom_out = TakeFlag(&flags, "prom-out");
   const std::string report_out = TakeFlag(&flags, "report-out");
-  // Static so instrumentation can reach it for the whole run; installed
-  // only when a trace was asked for, so tracing stays off otherwise.
-  static obs::TraceRecorder recorder;
-  if (!trace_out.empty()) {
-#if !IREDUCT_ENABLE_TRACING
-    std::fprintf(stderr,
-                 "note: built with IREDUCT_ENABLE_TRACING=OFF; the trace "
-                 "will be empty\n");
-#endif
-    obs::TraceRecorder::Install(&recorder);
-  }
-  // Same lifetime story as the trace recorder: events flow only while a
-  // log is installed, and only the edge that asked for an artifact pays.
+  // Static so instrumentation can reach it for the whole run. Events flow
+  // only while the log is installed, and only a run that asked for an
+  // artifact built from it (the trace, the stream, the report) pays.
   static obs::EventLog event_log;
-  if (!events_out.empty() || !report_out.empty()) {
-#if !IREDUCT_ENABLE_TRACING
-    std::fprintf(stderr,
-                 "note: built with IREDUCT_ENABLE_TRACING=OFF; the event "
-                 "stream will be empty\n");
-#endif
+  if (!trace_out.empty() || !events_out.empty() || !report_out.empty()) {
     obs::EventLog::Install(&event_log);
   }
   // Pre-register the full metric schema so artifacts list every metric the
@@ -1008,9 +1006,18 @@ int main(int argc, char** argv) {
     }
     return true;
   };
+  // The trace renders the buffer without draining it, so it must come
+  // before --events-out below.
   if (!trace_out.empty()) {
-    if (!write_json(trace_out, recorder.ToJson(), "trace")) return 1;
-    std::printf("wrote trace (%zu events) to %s\n", recorder.event_count(),
+    std::vector<std::pair<std::string, std::string>> other_data;
+    if (report.ledger_json().has_value()) {
+      other_data.emplace_back("privacy_ledger", *report.ledger_json());
+    }
+    if (!write_json(trace_out, event_log.ChromeTraceJson(other_data),
+                    "trace")) {
+      return 1;
+    }
+    std::printf("wrote trace (%zu events) to %s\n", event_log.size(),
                 trace_out.c_str());
   }
   if (!metrics_out.empty()) {
@@ -1040,11 +1047,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
     }
-#if !IREDUCT_ENABLE_TRACING
-    // The stub drains nothing; still leave the (empty) artifact behind so
-    // downstream tooling finds the file it asked for.
-    std::ofstream(events_out, std::ios::trunc);
-#endif
     std::printf("wrote %zu events to %s\n", buffered, events_out.c_str());
   }
   if (!prom_out.empty()) {
