@@ -1,6 +1,6 @@
 // Google-benchmark micro suite for the library's hot primitives: the
-// samplers that dominate iReduct's inner loop, marginal computation, and
-// one end-to-end mechanism run per task size.
+// samplers that dominate iReduct's inner loop, marginal computation,
+// conjunctive counts, and one end-to-end mechanism run per task size.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -25,8 +25,10 @@
 #include "marginals/marginal_set.h"
 #include "marginals/marginal_workload.h"
 #include "queries/linear_workload.h"
+#include "queries/predicate.h"
 #include "queries/range_workload.h"
 #include "queries/strategy.h"
+#include "support/count_reference.h"
 
 namespace {
 
@@ -168,6 +170,43 @@ void BM_CountPlanReferenceLoop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * dataset->num_rows());
 }
 BENCHMARK(BM_CountPlanReferenceLoop);
+
+// One conjunctive count, Gender = 1, over 400k Brazil census rows: a 50/50
+// split, where the row loop's data-dependent branch mispredicts most. The
+// column kernel (EvaluateQuery) and the row-loop oracle it replaced
+// (tests/support/count_reference.h) return the same count (predicate_test
+// enforces it). Both are plain C++, so tools/check.sh perf gates kernel vs
+// row loop at a fixed >= 5x on every host.
+const Dataset& CountQueryDataset() {
+  static const Dataset* dataset = [] {
+    CensusConfig c;
+    c.rows = 400'000;
+    return new Dataset(std::move(*GenerateCensus(c)));
+  }();
+  return *dataset;
+}
+
+void BM_CountQuery(benchmark::State& state) {
+  const Dataset& dataset = CountQueryDataset();
+  const ConjunctiveQuery query{{{kGender, 1}}};
+  for (auto _ : state) {
+    auto count = EvaluateQuery(dataset, query);
+    benchmark::DoNotOptimize(count);
+  }
+  state.SetItemsProcessed(state.iterations() * dataset.num_rows());
+}
+BENCHMARK(BM_CountQuery);
+
+void BM_CountQueryRowLoop(benchmark::State& state) {
+  const Dataset& dataset = CountQueryDataset();
+  const ConjunctiveQuery query{{{kGender, 1}}};
+  for (auto _ : state) {
+    auto count = EvaluateQueryRowLoop(dataset, query);
+    benchmark::DoNotOptimize(count);
+  }
+  state.SetItemsProcessed(state.iterations() * dataset.num_rows());
+}
+BENCHMARK(BM_CountQueryRowLoop);
 
 void BM_NoiseDownCreate(benchmark::State& state) {
   const double lambda = static_cast<double>(state.range(0));

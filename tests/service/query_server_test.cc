@@ -362,6 +362,9 @@ TEST(QueryServerTest, UnknownTenantIsNotFound) {
 // A bad spec anywhere in a coalesced batch must not take its siblings
 // down: the fused pass falls back to the classic per-request path, the
 // broken request reports its own error and the valid one still succeeds.
+// Counts in the same batch take the same fallback: one Phase A cannot
+// evaluate, or one with a bad ε, is refused exactly as a direct session
+// refuses it, before any charge.
 TEST(QueryServerTest, InvalidSpecInBatchFallsBackPerRequest) {
   const Dataset d = MakeDataset();
   QueryServerConfig config;
@@ -371,21 +374,54 @@ TEST(QueryServerTest, InvalidSpecInBatchFallsBackPerRequest) {
   ASSERT_TRUE((*server)->AddDataset("census", d).ok());
   ASSERT_TRUE((*server)->OpenTenant("bad", "census", 1.0, 6).ok());
   ASSERT_TRUE((*server)->OpenTenant("good", "census", 1.0, 7).ok());
+  struct BadCount {
+    ConjunctiveQuery query;
+    double epsilon;
+  };
+  const std::vector<BadCount> bad_counts{
+      {ConjunctiveQuery{{{1, 2}}}, 0.1},  // B's domain is {0, 1}
+      {ConjunctiveQuery{{{5, 0}}}, 0.1},  // no attribute 5
+      {ConjunctiveQuery{{{0, 1}}}, 0.0},  // ε must be positive
+  };
   (*server)->Pause();
   auto fbad = (*server)->SubmitMarginals(
       "bad", {MarginalSpec{{9}}}, MechanismSpec("ireduct"), 0.2, 5.0, 40);
   auto fgood = (*server)->SubmitMarginals(
       "good", OneWaySpecs(), MechanismSpec("ireduct"), 0.2, 5.0, 40);
+  std::vector<std::future<Result<double>>> fbad_counts;
+  for (const BadCount& c : bad_counts) {
+    fbad_counts.push_back((*server)->SubmitCount("bad", c.query, c.epsilon));
+  }
+  auto fgood_count =
+      (*server)->SubmitCount("good", ConjunctiveQuery{{{0, 2}}}, 0.1);
   (*server)->Resume();
   auto bad = fbad.get();
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kOutOfRange);
   auto good = fgood.get();
   EXPECT_TRUE(good.ok()) << good.status();
+  auto direct = PrivateQuerySession::Create(&d, 1.0, 6);
+  ASSERT_TRUE(direct.ok());
+  for (size_t i = 0; i < bad_counts.size(); ++i) {
+    const Result<double> want =
+        direct->CountQuery(bad_counts[i].query, bad_counts[i].epsilon);
+    ASSERT_FALSE(want.ok());
+    const Result<double> got = fbad_counts[i].get();
+    ASSERT_FALSE(got.ok()) << "bad count " << i;
+    EXPECT_EQ(got.status().code(), want.status().code()) << "bad count " << i;
+    EXPECT_EQ(got.status().message(), want.status().message())
+        << "bad count " << i;
+  }
+  auto good_count = fgood_count.get();
+  EXPECT_TRUE(good_count.ok()) << good_count.status();
   (*server)->Drain();
   auto bad_budget = (*server)->GetBudget("bad");
   ASSERT_TRUE(bad_budget.ok());
   EXPECT_DOUBLE_EQ(bad_budget->spent, 0.0);
+  ASSERT_TRUE(good.ok());
+  auto good_budget = (*server)->GetBudget("good");
+  ASSERT_TRUE(good_budget.ok());
+  EXPECT_DOUBLE_EQ(good_budget->spent, good->epsilon_spent + 0.1);
   // The poisoned union never ran a fused pass.
   EXPECT_EQ((*server)->Stats().fused_passes, 0u);
 }

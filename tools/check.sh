@@ -14,7 +14,9 @@
 #                             # the counting kernel the per-marginal
 #                             # reference loop, by >= 2x (KERNEL_MIN_SPEEDUP);
 #                             # and on any host one NoiseDownGroup move must
-#                             # beat the per-cell NoiseDown loop by >= 1.5x
+#                             # beat the per-cell NoiseDown loop by >= 1.5x,
+#                             # and EvaluateQuery's column kernel the
+#                             # row-loop oracle (tests/support) by >= 5x
 #   tools/check.sh registry   # Mechanism-registry smoke: builds ireduct_tool,
 #                             # asserts --list-mechanisms enumerates the
 #                             # builtin set and matches its golden copy,
@@ -50,7 +52,9 @@
 #                             # SERVICE_MIN_SPEEDUP=0 to disable the
 #                             # speedup gate), and an end-to-end
 #                             # serve/client NDJSON round trip over a
-#                             # real Unix socket
+#                             # real Unix socket, in which a count with
+#                             # an out-of-domain value is refused and
+#                             # charges nothing
 #   tools/check.sh obs        # Telemetry smoke: runs the event-log / trace /
 #                             # exposition / run-report tests, drives
 #                             # ireduct_tool with --report-out/--events-out/
@@ -244,6 +248,18 @@ if [ "$mode" = service ]; then
     grep -q '"epsilon_spent"'
   "$tool" client --socket "$sock" --op count --tenant smoke \
     --predicates "1=1" --epsilon 0.1 | grep -q '"value"'
+  # Attribute 1 is Gender, whose domain is {0, 1}: the count is refused
+  # (client exit 1) before any charge.
+  status=0
+  refused="$("$tool" client --socket "$sock" --op count --tenant smoke \
+    --predicates "1=2" --epsilon 0.1)" || status=$?
+  if [ "$status" -ne 1 ] ||
+     ! echo "$refused" | grep -q '"ok":false' ||
+     ! echo "$refused" | grep -q '"code":"Out of range"'; then
+    echo "service smoke: out-of-domain count not refused" \
+         "(exit $status): $refused" >&2
+    exit 1
+  fi
   "$tool" client --socket "$sock" --op budget --tenant smoke |
     grep -q '"remaining"'
   # The journal the server kept must already hold both grants.
@@ -373,9 +389,13 @@ if [ "$mode" = perf ]; then
   #   * one iReduct group move at the paper bench's operating point through
   #     NoiseDownGroup vs the per-cell NoiseDown loop: plain scalar code, so
   #     its fixed >= 1.5x floor applies on every host.
+  #   * one conjunctive count (Gender = 1, 400k census rows) through
+  #     EvaluateQuery's column kernel vs the row-loop oracle: plain C++
+  #     the compiler vectorizes at the baseline target, so its fixed >= 5x
+  #     floor applies on every host.
   (cd build/bench &&
    ./micro_primitives \
-     --benchmark_filter='BM_BatchLaplace|BM_CountPlan|BM_NoiseDown(Group|PerCell)$' \
+     --benchmark_filter='BM_BatchLaplace|BM_CountPlan|BM_NoiseDown(Group|PerCell)$|BM_CountQuery' \
      --benchmark_out=BENCH_KERNELS.json --benchmark_out_format=json)
   simd_gate=0
   if grep -q avx2 /proc/cpuinfo 2>/dev/null &&
@@ -394,6 +414,8 @@ if [ "$mode" = perf ]; then
       }
       pair["BM_NoiseDownGroup"] = "BM_NoiseDownPerCell"
       min_speedup["BM_NoiseDownGroup"] = 1.5
+      pair["BM_CountQuery"] = "BM_CountQueryRowLoop"
+      min_speedup["BM_CountQuery"] = 5
     }
     /"name":/ { gsub(/[",]/, ""); name = $2 }
     /"real_time":/ && !(name in t) { gsub(/,/, ""); t[name] = $2 + 0 }
