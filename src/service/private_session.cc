@@ -122,19 +122,6 @@ Result<PrivateQuerySession> PrivateQuerySession::ResumeWithJournal(
 Result<double> PrivateQuerySession::CountQuery(const ConjunctiveQuery& query,
                                                double epsilon,
                                                CountNoise noise) {
-  return AnswerCount(query, std::nullopt, epsilon, noise);
-}
-
-Result<double> PrivateQuerySession::CountQueryPrecomputed(
-    const ConjunctiveQuery& query, double truth, double epsilon,
-    CountNoise noise) {
-  return AnswerCount(query, truth, epsilon, noise);
-}
-
-Result<double> PrivateQuerySession::AnswerCount(const ConjunctiveQuery& query,
-                                                std::optional<double> truth,
-                                                double epsilon,
-                                                CountNoise noise) {
   obs::EventSpan span("session.count_query");
   span.Field("epsilon", epsilon);
   IREDUCT_METRIC_COUNT("session.count_queries", 1);
@@ -143,22 +130,18 @@ Result<double> PrivateQuerySession::AnswerCount(const ConjunctiveQuery& query,
   if (!(epsilon > 0) || !std::isfinite(epsilon)) {
     return Status::InvalidArgument("epsilon must be positive finite");
   }
-  // A precomputed truth came from EvaluateQuery, which validated the
-  // query; validating here too keeps the label below safe to build.
-  IREDUCT_RETURN_NOT_OK(ValidateQuery(dataset_->schema(), query));
-  if (!truth.has_value()) {
-    IREDUCT_ASSIGN_OR_RETURN(truth, EvaluateQuery(*dataset_, query));
-  }
+  IREDUCT_ASSIGN_OR_RETURN(const double truth,
+                           EvaluateQuery(*dataset_, query));
   // Charge before sampling; a refused charge must release nothing.
   IREDUCT_RETURN_NOT_OK(accountant_->Charge(
       "count " + query.ToString(dataset_->schema()), epsilon));
   if (noise == CountNoise::kLaplace) {
     // Per-tuple sensitivity 1 for a conjunctive count.
-    return *truth + gen_.Laplace(1.0 / epsilon);
+    return truth + gen_.Laplace(1.0 / epsilon);
   }
   IREDUCT_ASSIGN_OR_RETURN(const int64_t eta,
                            TwoSidedGeometric(std::exp(-epsilon), gen_));
-  return std::round(*truth) + static_cast<double>(eta);
+  return std::round(truth) + static_cast<double>(eta);
 }
 
 Result<MarginalRelease> PrivateQuerySession::PublishMarginals(

@@ -19,7 +19,6 @@
 #define IREDUCT_SERVICE_PRIVATE_SESSION_H_
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "algorithms/ireduct.h"
@@ -92,15 +91,6 @@ class PrivateQuerySession {
   Result<double> CountQuery(const ConjunctiveQuery& query, double epsilon,
                             CountNoise noise = CountNoise::kLaplace);
 
-  /// CountQuery with the true count already computed (e.g. by the query
-  /// server's Phase A on its pool). `truth` must equal
-  /// EvaluateQuery(dataset, query), so the answer, the ε charge and its
-  /// ledger label are bit-identical to CountQuery at the same session
-  /// state.
-  Result<double> CountQueryPrecomputed(const ConjunctiveQuery& query,
-                                       double truth, double epsilon,
-                                       CountNoise noise = CountNoise::kLaplace);
-
   /// Publishes the given marginals through iReduct with `epsilon` of the
   /// budget. `lambda_steps` controls the reduction resolution
   /// (λΔ = λmax/steps); `delta` is the sanity bound driving reallocation.
@@ -153,12 +143,6 @@ class PrivateQuerySession {
         gen_(seed) {
     if (journal_ != nullptr) accountant_->AttachJournal(journal_.get());
   }
-
-  // The one body of CountQuery and CountQueryPrecomputed; an empty `truth`
-  // is evaluated here, after the ε check and before the charge.
-  Result<double> AnswerCount(const ConjunctiveQuery& query,
-                             std::optional<double> truth, double epsilon,
-                             CountNoise noise);
 
   const Dataset* dataset_;
   std::unique_ptr<PrivacyAccountant> accountant_;

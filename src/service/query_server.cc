@@ -362,30 +362,15 @@ void QueryServer::ExecuteBatch(std::vector<Request> batch) {
   obs::EventLog* const log = obs::EventLog::Get();
   const uint64_t batch_start_us = log != nullptr ? log->NowMicros() : 0;
 
-  // Phase A — derive every request's *true* answers off the serial path:
-  // one pool task per count request, and one fused pass per dataset
-  // fingerprint for the marginal requests, shared through the process-wide
-  // MarginalCache. True answers are exact integer counts (the fused
-  // evaluator has an exact parity guarantee against Marginal::Compute), so
-  // computing them here cannot change a single response byte at any
-  // worker count. A request whose evaluation fails gets no precomputed
-  // answer and reports its own error from the self-computing path in
-  // Phase B, before any ε charge.
+  // Phase A — coalesce the marginal requests by dataset fingerprint and
+  // derive every request's *true* tables in one fused pass per dataset,
+  // shared through the process-wide MarginalCache. True tables are
+  // deterministic integer counts with an exact parity guarantee against
+  // Marginal::Compute, so precomputing them here cannot change a single
+  // response byte; it only removes redundant full-dataset scans.
   std::vector<std::optional<std::vector<Marginal>>> precomputed(batch.size());
-  std::vector<std::optional<double>> true_counts(batch.size());
   uint64_t fused_groups = 0;
   if (config_.batching) {
-    // Tasks read only immutable datasets and write disjoint slots; they
-    // run alongside the fused passes below and are joined by the Wait at
-    // the end of Phase A.
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (batch[i].kind != RequestKind::kCount) continue;
-      pool_.Submit([&request = batch[i], &slot = true_counts[i]] {
-        Result<double> count =
-            EvaluateQuery(*request.tenant->dataset, request.query);
-        if (count.ok()) slot = *count;
-      });
-    }
     // fingerprint → indices of batch requests that read that dataset.
     std::map<uint64_t, std::vector<size_t>> groups;
     for (size_t i = 0; i < batch.size(); ++i) {
@@ -426,7 +411,6 @@ void QueryServer::ExecuteBatch(std::vector<Request> batch) {
         precomputed[i] = std::move(mine);
       }
     }
-    pool_.Wait();
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -447,22 +431,17 @@ void QueryServer::ExecuteBatch(std::vector<Request> batch) {
   for (size_t i = 0; i < batch.size(); ++i) {
     IREDUCT_SCOPED_TIMER(request_timer, "server.request_seconds");
     ExecuteOne(batch[i],
-               precomputed[i].has_value() ? &*precomputed[i] : nullptr,
-               true_counts[i]);
+               precomputed[i].has_value() ? &*precomputed[i] : nullptr);
     FinishRequest(batch[i].tenant);
   }
 }
 
 void QueryServer::ExecuteOne(Request& request,
-                             std::vector<Marginal>* precomputed,
-                             std::optional<double> true_count) {
+                             std::vector<Marginal>* precomputed) {
   PrivateQuerySession* session = request.tenant->session.get();
   if (request.kind == RequestKind::kCount) {
     request.count_promise.set_value(
-        true_count.has_value()
-            ? session->CountQueryPrecomputed(request.query, *true_count,
-                                             request.epsilon)
-            : session->CountQuery(request.query, request.epsilon));
+        session->CountQuery(request.query, request.epsilon));
     return;
   }
   if (precomputed != nullptr) {

@@ -12,22 +12,19 @@
 //              caller                      Phase A: one fused true-table
 //                                          pass per dataset fingerprint
 //                                          (MarginalCache::Global + pool)
-//                                          and one pool task per count
-//                                          Phase B: per-request ε charge,
-//                                          noise and mechanism runs,
-//                                          strictly in admission order,
-//                                          on the dispatcher thread
+//                                          Phase B: per-request mechanism
+//                                          runs, strictly in admission
+//                                          order, on the dispatcher thread
 //
 // Determinism contract: responses are bit-identical to running each
 // tenant's requests serially against its own PrivateQuerySession, at any
-// worker count and any batch width. Phase A computes only *true* answers:
-// count tables, which the fused evaluator and the marginal cache guarantee
-// bit-identical to Marginal::Compute, and exact integer query counts;
-// Phase B consumes each session's RNG and accountant strictly in that
-// tenant's admission order on a single thread. Batching therefore changes
-// wall-clock only, never bytes — tests/service/query_server_test.cc
-// locks this with golden comparisons across {1,2,8} workers ×
-// batched/unbatched.
+// worker count and any batch width. Phase A computes only *true* count
+// tables, which the fused evaluator and the marginal cache guarantee
+// bit-identical to Marginal::Compute; Phase B consumes each session's RNG
+// and accountant strictly in that tenant's admission order on a single
+// thread. Batching therefore changes wall-clock only, never bytes —
+// tests/service/query_server_test.cc locks this with golden comparisons
+// across {1,2,8} workers × batched/unbatched.
 //
 // Shedding never charges ε: admission rejects happen before the request
 // touches a session, so a kResourceExhausted caller can simply retry.
@@ -41,7 +38,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,9 +53,8 @@ namespace ireduct {
 
 /// Tuning for one QueryServer instance.
 struct QueryServerConfig {
-  /// Workers for Phase A: the fused true-table passes and the batch's
-  /// count evaluations. Mechanism runs stay on the dispatcher thread
-  /// regardless.
+  /// Workers for the fused true-table passes (Phase A sharding). Mechanism
+  /// runs stay on the dispatcher thread regardless.
   int workers = 1;
   /// Bounded admission queue; a submit beyond this is shed with
   /// kResourceExhausted. Must be >= 1.
@@ -73,10 +68,9 @@ struct QueryServerConfig {
   size_t max_batch = 16;
   /// Coalesce concurrent marginal requests against the same dataset
   /// fingerprint into one fused evaluator pass sharing the process-wide
-  /// MarginalCache, and evaluate the batch's counts on the pool. Off:
-  /// every request computes its own true answers on the dispatcher (the
-  /// architectural baseline bench/service_throughput compares against).
-  /// Identical bytes either way.
+  /// MarginalCache. Off: every request runs the classic per-spec scan
+  /// path (the architectural baseline bench/service_throughput compares
+  /// against). Identical bytes either way.
   bool batching = true;
   /// When non-empty, every tenant gets a crash-safe write-ahead journal at
   /// <journal_dir>/<tenant>.journal (missing directories are created).
@@ -222,11 +216,10 @@ class QueryServer {
 
   void DispatcherLoop();
   void ExecuteBatch(std::vector<Request> batch);
-  // Resolves one request against its tenant's session. `precomputed` and
-  // `true_count` are the request's true tables or count from Phase A;
-  // nullptr or empty uses the classic self-computing path.
-  void ExecuteOne(Request& request, std::vector<Marginal>* precomputed,
-                  std::optional<double> true_count);
+  // Resolves one request against its tenant's session. `precomputed` is
+  // the request's true tables from Phase A, or nullptr to use the classic
+  // self-computing path.
+  void ExecuteOne(Request& request, std::vector<Marginal>* precomputed);
   void FinishRequest(TenantState* tenant);
 
   const QueryServerConfig config_;
@@ -247,7 +240,7 @@ class QueryServer {
   // publishes via FinishRequest.
   QueryServerStats stats_;
 
-  ThreadPool pool_;  // Phase A only
+  ThreadPool pool_;  // Phase A sharding only
   std::thread dispatcher_;
 };
 

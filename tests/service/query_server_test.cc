@@ -362,9 +362,9 @@ TEST(QueryServerTest, UnknownTenantIsNotFound) {
 // A bad spec anywhere in a coalesced batch must not take its siblings
 // down: the fused pass falls back to the classic per-request path, the
 // broken request reports its own error and the valid one still succeeds.
-// Counts in the same batch take the same fallback: one Phase A cannot
-// evaluate, or one with a bad ε, is refused exactly as a direct session
-// refuses it, before any charge.
+// Refused counts in the same batch (a value or attribute out of range, a
+// bad ε) fail exactly as a direct session fails them, before any charge,
+// and a valid count beside them is charged only its own ε.
 TEST(QueryServerTest, InvalidSpecInBatchFallsBackPerRequest) {
   const Dataset d = MakeDataset();
   QueryServerConfig config;
