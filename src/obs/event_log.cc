@@ -18,6 +18,9 @@ std::string JsonToken(double v) {
   if (!std::isfinite(v)) return '"' + FormatDouble(v) + '"';
   return FormatDouble(v);
 }
+
+// The calling thread's active capture (EventCapture::Scope), if any.
+thread_local EventCapture* active_capture = nullptr;
 }  // namespace
 
 EventField::EventField(std::string_view k, uint64_t v)
@@ -30,6 +33,13 @@ EventField::EventField(std::string_view k, double v)
     : key(k), json(JsonToken(v)) {}
 EventField::EventField(std::string_view k, std::string_view v)
     : key(k), json('"' + EscapeJson(v) + '"') {}
+
+EventCapture::Scope::Scope(EventCapture* capture)
+    : previous_(active_capture) {
+  active_capture = capture;
+}
+
+EventCapture::Scope::~Scope() { active_capture = previous_; }
 
 std::atomic<EventLog*> EventLog::installed_{nullptr};
 
@@ -62,40 +72,67 @@ void EventLog::Record(std::string_view type,
                       std::span<const EventField> fields,
                       std::optional<uint64_t> start_us) {
   const uint64_t now_us = NowMicros();
-  std::string line;
-  bool dropped = false;
+  const uint64_t start = start_us.value_or(now_us);
+  const std::optional<uint64_t> dur =
+      start_us.has_value() ? std::optional<uint64_t>(now_us - *start_us)
+                           : std::nullopt;
+  if (EventCapture* const capture = active_capture) {
+    capture->events_.push_back(EventCapture::Held{
+        std::string(type), {fields.begin(), fields.end()}, start, dur});
+    return;
+  }
+  bool dropped;
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    JsonWriter json(&line);
-    json.BeginObject();
-    json.KV("seq", next_seq_);
-    json.KV("type", type);
-    for (const EventField& field : fields) {
-      json.Key(field.key);
-      json.RawValue(field.json);
-    }
-    json.EndObject();
-    ++next_seq_;
-    auto by_type = by_type_.find(type);
-    if (by_type == by_type_.end()) {
-      by_type = by_type_.emplace(std::string(type), 0).first;
-    }
-    ++by_type->second;
-    if (events_.size() == capacity_) {
-      events_.pop_front();
-      ++dropped_;
-      dropped = true;
-    }
-    if (start_us.has_value()) {
-      events_.push_back(Event{std::move(line), &by_type->first, *start_us,
-                              now_us - *start_us});
-    } else {
-      events_.push_back(
-          Event{std::move(line), &by_type->first, now_us, std::nullopt});
-    }
+    dropped = AppendLocked(type, fields, start, dur);
   }
   IREDUCT_METRIC_COUNT("events.emitted", 1);
   if (dropped) IREDUCT_METRIC_COUNT("events.dropped", 1);
+}
+
+void EventLog::Commit(EventCapture* capture) {
+  if (capture->events_.empty()) return;
+  uint64_t dropped = 0;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    for (const EventCapture::Held& event : capture->events_) {
+      dropped += AppendLocked(event.type, event.fields, event.start_us,
+                              event.dur_us);
+    }
+  }
+  IREDUCT_METRIC_COUNT("events.emitted", capture->events_.size());
+  if (dropped > 0) IREDUCT_METRIC_COUNT("events.dropped", dropped);
+  capture->events_.clear();
+}
+
+bool EventLog::AppendLocked(std::string_view type,
+                            std::span<const EventField> fields,
+                            uint64_t start_us,
+                            std::optional<uint64_t> dur_us) {
+  std::string line;
+  JsonWriter json(&line);
+  json.BeginObject();
+  json.KV("seq", next_seq_);
+  json.KV("type", type);
+  for (const EventField& field : fields) {
+    json.Key(field.key);
+    json.RawValue(field.json);
+  }
+  json.EndObject();
+  ++next_seq_;
+  auto by_type = by_type_.find(type);
+  if (by_type == by_type_.end()) {
+    by_type = by_type_.emplace(std::string(type), 0).first;
+  }
+  ++by_type->second;
+  bool dropped = false;
+  if (events_.size() == capacity_) {
+    events_.pop_front();
+    ++dropped_;
+    dropped = true;
+  }
+  events_.push_back(Event{std::move(line), &by_type->first, start_us, dur_us});
+  return dropped;
 }
 
 size_t EventLog::size() const {

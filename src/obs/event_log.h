@@ -13,10 +13,11 @@
 // Sequence numbers are monotonic across the whole run — they keep counting
 // through ring-buffer drops and drains, so a gap in `seq` is a drop, never
 // a serialization bug. Content is deterministic for a fixed workload and
-// seed: events are only emitted from sequential (post-parallel) code, field
-// order is fixed at the call site, and doubles render shortest-round-trip.
-// Times never enter a line: each buffered event keeps its steady-clock
-// start (and a span its duration) beside the line, for the trace view only.
+// seed: events are emitted from sequential (post-parallel) code or into an
+// EventCapture that is committed in a fixed order, field order is fixed at
+// the call site, and doubles render shortest-round-trip. Times never enter
+// a line: each buffered event keeps its steady-clock start (and a span its
+// duration) beside the line, for the trace view only.
 #ifndef IREDUCT_OBS_EVENT_LOG_H_
 #define IREDUCT_OBS_EVENT_LOG_H_
 
@@ -55,6 +56,45 @@ struct EventField {
   std::string json;
 };
 
+/// The events one thread records while a capture scope is active there,
+/// held back from the ring until EventLog::Commit appends them: each
+/// keeps its type, its serialized fields, its start and its duration, but
+/// gets its `seq` only at commit. Work that runs concurrently (the query
+/// server's per-tenant Phase B chains) records each unit into its own
+/// capture and commits them in a fixed order, so the stream is the one a
+/// serial run would have written.
+class EventCapture {
+ public:
+  /// While alive, every event recorded on the calling thread, on any log,
+  /// goes into `capture` instead of a ring. Scopes nest: the innermost
+  /// wins, and the enclosing one is active again once it ends.
+  class Scope {
+   public:
+    explicit Scope(EventCapture* capture);
+    ~Scope();
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+   private:
+    EventCapture* const previous_;
+  };
+
+  /// Events held, not yet committed.
+  size_t size() const { return events_.size(); }
+
+ private:
+  friend class EventLog;
+
+  struct Held {
+    std::string type;
+    std::vector<EventField> fields;
+    uint64_t start_us;
+    std::optional<uint64_t> dur_us;  // spans only
+  };
+
+  std::vector<Held> events_;
+};
+
 /// Bounded event collector; thread-safe. Install one globally to turn
 /// event emission on.
 class EventLog {
@@ -79,6 +119,12 @@ class EventLog {
   /// `start_us` (from NowMicros) the event is a span that ends now.
   void Emit(std::string_view type, std::initializer_list<EventField> fields,
             std::optional<uint64_t> start_us = std::nullopt);
+
+  /// Appends the events held in `*capture`, in the order they were
+  /// recorded, under one lock, and empties it. Each gets its `seq` here,
+  /// with the same capacity, drop and per-type accounting as an event
+  /// recorded directly.
+  void Commit(EventCapture* capture);
 
   /// Currently buffered (emitted, not yet drained or dropped) events.
   size_t size() const;
@@ -136,8 +182,15 @@ class EventLog {
     std::optional<uint64_t> dur_us;  // spans only
   };
 
+  // Records one event into the thread's active capture, if any, or else
+  // into the ring.
   void Record(std::string_view type, std::span<const EventField> fields,
               std::optional<uint64_t> start_us);
+  // Serializes one event with the next `seq` and pushes it onto the ring,
+  // dropping the oldest at capacity. Requires mu_; returns whether it
+  // dropped.
+  bool AppendLocked(std::string_view type, std::span<const EventField> fields,
+                    uint64_t start_us, std::optional<uint64_t> dur_us);
   std::string SummaryJsonLocked() const;  // requires mu_
 
   static std::atomic<EventLog*> installed_;

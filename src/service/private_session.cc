@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "algorithms/geometric.h"
+#include "common/hash.h"
 #include "marginals/marginal_set.h"
 #include "marginals/marginal_workload.h"
 #include "obs/event_log.h"
@@ -114,9 +115,18 @@ Result<PrivateQuerySession> PrivateQuerySession::ResumeWithJournal(
       recovered.torn_tail
           ? LedgerJournal::RewriteCompacted(journal_path, recovered)
           : LedgerJournal::OpenForAppend(journal_path));
+  // Every release follows a durable grant, so any resume point after a
+  // release recovers more grants than the one before it: keying the
+  // generator on the grant count gives each such point a fresh stream, and
+  // a caller who passes the open's seed back cannot replay noise that was
+  // already released (two answers with equal noise publish their exact
+  // true difference). Resuming one journal with one seed stays
+  // deterministic.
+  const uint64_t resume_seed =
+      Fnv1a64Int(Fnv1a64Int(kFnv1a64Basis, seed), recovered.charges.size());
   return PrivateQuerySession(
       dataset, std::make_unique<PrivacyAccountant>(std::move(accountant)),
-      seed, std::make_unique<LedgerJournal>(std::move(journal)));
+      resume_seed, std::make_unique<LedgerJournal>(std::move(journal)));
 }
 
 Result<double> PrivateQuerySession::CountQuery(const ConjunctiveQuery& query,

@@ -72,7 +72,9 @@ class PrivateQuerySession {
   /// about a torn final record, which counts as spent (and the journal is
   /// compacted so appending can continue) — and the accountant resumes
   /// with the recovered ledger. The recovered spend may exceed the budget;
-  /// such a session refuses all further charges.
+  /// such a session refuses all further charges. The generator is seeded
+  /// from `seed` and the number of recovered grants, never with `seed`
+  /// alone, so a resume never replays noise the session already released.
   static Result<PrivateQuerySession> ResumeWithJournal(
       const Dataset* dataset, uint64_t seed, const std::string& journal_path);
 

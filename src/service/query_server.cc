@@ -424,16 +424,52 @@ void QueryServer::ExecuteBatch(std::vector<Request> batch) {
               batch_start_us);
   }
 
-  // Phase B — resolve every request strictly in admission order on this
-  // one thread. Each session's RNG and accountant are consumed exactly as
-  // a serial per-tenant run would consume them, which is the whole
-  // determinism contract.
-  for (size_t i = 0; i < batch.size(); ++i) {
-    IREDUCT_SCOPED_TIMER(request_timer, "server.request_seconds");
-    ExecuteOne(batch[i],
-               precomputed[i].has_value() ? &*precomputed[i] : nullptr);
-    FinishRequest(batch[i].tenant);
+  // Phase B — one chain per tenant, in the order of each tenant's first
+  // request, listing that tenant's requests in admission order. Each
+  // session's RNG, accountant and journal are consumed exactly as a serial
+  // per-tenant run would consume them, which is the whole determinism
+  // contract; different tenants share no mutable state, so their chains
+  // may scan and fsync at the same time. Every request records its events into its
+  // own capture, committed below in admission order, so the event stream
+  // is the serial one too.
+  std::vector<std::vector<size_t>> chains;
+  {
+    std::map<const TenantState*, size_t> chain_of;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const auto [it, fresh] = chain_of.emplace(batch[i].tenant, chains.size());
+      if (fresh) chains.emplace_back();
+      chains[it->second].push_back(i);
+    }
   }
+  std::vector<obs::EventCapture> captures(batch.size());
+  // Chains never touch pool_ themselves: a Wait inside a pool task would
+  // wait for itself.
+  const auto run_chain = [&](const std::vector<size_t>& chain) {
+    for (const size_t i : chain) {
+      IREDUCT_SCOPED_TIMER(request_timer, "server.request_seconds");
+      {
+        const obs::EventCapture::Scope capture(&captures[i]);
+        ExecuteOne(batch[i],
+                   precomputed[i].has_value() ? &*precomputed[i] : nullptr);
+      }
+      FinishRequest(batch[i].tenant);
+    }
+  };
+  if (chains.size() == 1) {
+    run_chain(chains.front());
+  } else {
+    for (const std::vector<size_t>& chain : chains) {
+      pool_.Submit([&run_chain, &chain] { run_chain(chain); });
+    }
+    pool_.Wait();
+  }
+  if (obs::EventLog* const sink = obs::EventLog::Get()) {
+    for (obs::EventCapture& capture : captures) sink->Commit(&capture);
+  }
+  // Drain() returns only once the batch's events are in the log.
+  std::lock_guard<std::mutex> lock(mu_);
+  executing_ -= batch.size();
+  if (queue_.empty() && executing_ == 0) queue_drained_.notify_all();
 }
 
 void QueryServer::ExecuteOne(Request& request,
@@ -458,11 +494,7 @@ void QueryServer::ExecuteOne(Request& request,
 void QueryServer::FinishRequest(TenantState* tenant) {
   std::lock_guard<std::mutex> lock(mu_);
   --tenant->inflight;
-  --executing_;
   ++stats_.completed;
-  if (queue_.empty() && executing_ == 0) {
-    queue_drained_.notify_all();
-  }
 }
 
 }  // namespace ireduct

@@ -12,19 +12,23 @@
 //              caller                      Phase A: one fused true-table
 //                                          pass per dataset fingerprint
 //                                          (MarginalCache::Global + pool)
-//                                          Phase B: per-request mechanism
-//                                          runs, strictly in admission
-//                                          order, on the dispatcher thread
+//                                          Phase B: one chain per tenant,
+//                                          its requests in admission order;
+//                                          two or more chains run at once
+//                                          on the pool, a lone chain on the
+//                                          dispatcher thread
 //
-// Determinism contract: responses are bit-identical to running each
-// tenant's requests serially against its own PrivateQuerySession, at any
-// worker count and any batch width. Phase A computes only *true* count
-// tables, which the fused evaluator and the marginal cache guarantee
-// bit-identical to Marginal::Compute; Phase B consumes each session's RNG
-// and accountant strictly in that tenant's admission order on a single
-// thread. Batching therefore changes wall-clock only, never bytes —
-// tests/service/query_server_test.cc locks this with golden comparisons
-// across {1,2,8} workers × batched/unbatched.
+// Determinism contract: responses, journals and the event stream are
+// bit-identical to running each tenant's requests serially against its own
+// PrivateQuerySession, at any worker count and any batch width. Phase A
+// computes only *true* count tables, which the fused evaluator and the
+// marginal cache guarantee bit-identical to Marginal::Compute; Phase B
+// consumes each session's RNG, accountant and journal strictly in that
+// tenant's admission order, and tenants share no mutable state. Each
+// request's events are captured while its chain runs and committed in
+// admission order once the chains join. Batching therefore changes
+// wall-clock only, never bytes — tests/service/query_server_test.cc locks
+// this with golden comparisons across {1,2,8} workers × batched/unbatched.
 //
 // Shedding never charges ε: admission rejects happen before the request
 // touches a session, so a kResourceExhausted caller can simply retry.
@@ -53,8 +57,8 @@ namespace ireduct {
 
 /// Tuning for one QueryServer instance.
 struct QueryServerConfig {
-  /// Workers for the fused true-table passes (Phase A sharding). Mechanism
-  /// runs stay on the dispatcher thread regardless.
+  /// Workers for the fused true-table passes (Phase A sharding). They also
+  /// bound how many tenants' Phase B chains run at once.
   int workers = 1;
   /// Bounded admission queue; a submit beyond this is shed with
   /// kResourceExhausted. Must be >= 1.
@@ -220,27 +224,30 @@ class QueryServer {
   // the request's true tables from Phase A, or nullptr to use the classic
   // self-computing path.
   void ExecuteOne(Request& request, std::vector<Marginal>* precomputed);
+  // Per-request bookkeeping once its response is set: the tenant's
+  // in-flight slot and the completed count. Runs on the chain's thread;
+  // ExecuteBatch settles `executing_` after the batch's events are
+  // committed.
   void FinishRequest(TenantState* tenant);
 
   const QueryServerConfig config_;
 
   mutable std::mutex mu_;
   std::condition_variable work_ready_;   // dispatcher wakeup
-  std::condition_variable queue_drained_;  // Drain()/FinishRequest handshake
+  std::condition_variable queue_drained_;  // Drain()/ExecuteBatch handshake
   std::deque<Request> queue_;
-  size_t executing_ = 0;  // requests drained from queue_, not yet finished
+  size_t executing_ = 0;  // requests drained from queue_, batch not finished
   bool paused_ = false;
   bool stopping_ = false;
 
   std::map<std::string, DatasetState> datasets_;
   std::map<std::string, std::unique_ptr<TenantState>> tenants_;
 
-  // Unsynchronized counters are only written under mu_ (admission) or on
-  // the dispatcher thread; Stats() reads under mu_ after the dispatcher
-  // publishes via FinishRequest.
+  // Written only under mu_ (admission, the dispatcher, FinishRequest on a
+  // chain's thread); Stats() reads it under mu_.
   QueryServerStats stats_;
 
-  ThreadPool pool_;  // Phase A sharding only
+  ThreadPool pool_;  // Phase A sharding and Phase B chains
   std::thread dispatcher_;
 };
 

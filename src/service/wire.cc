@@ -4,6 +4,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <charconv>
 #include <cstring>
@@ -492,11 +493,19 @@ void WireServer::AcceptLoop() {
   }
 }
 
+// Blocked on one queued request's future until it has written that
+// request's response line. Setting `done` is its last act, so a set flag
+// means join() will not block.
+struct WireServer::Waiter {
+  std::thread thread;
+  std::atomic<bool> done{false};
+};
+
 void WireServer::ServeConnection(int fd) {
   // Shared by the reader (this thread) and the per-request waiters so
   // response lines never interleave.
   std::mutex write_mu;
-  std::vector<std::thread> waiters;
+  std::list<Waiter> waiters;
   std::string buffer;
   char chunk[4096];
   while (true) {
@@ -511,14 +520,33 @@ void WireServer::ServeConnection(int fd) {
     }
   }
   // Queued requests still resolve (the server answers every admitted
-  // request); their writes hit a dead socket and are dropped.
-  for (std::thread& t : waiters) t.join();
+  // request); their writes hit a dead socket and are dropped. The fd and
+  // write_mu outlive every waiter: the fd closes only in Stop().
+  for (Waiter& waiter : waiters) waiter.thread.join();
 }
 
 void WireServer::HandleLine(std::string_view line, int fd,
                             std::mutex* write_mu,
-                            std::vector<std::thread>* waiters) {
+                            std::list<Waiter>* waiters) {
   const int retry_ms = server_->config().retry_after_ms;
+  // Joins the finished waiters first, so a long-lived connection keeps
+  // only the threads (and stacks) of requests still in flight.
+  const auto spawn_waiter = [waiters](auto respond) {
+    for (auto it = waiters->begin(); it != waiters->end();) {
+      if (it->done.load(std::memory_order_acquire)) {
+        it->thread.join();
+        it = waiters->erase(it);
+      } else {
+        ++it;
+      }
+    }
+    Waiter& waiter = waiters->emplace_back();
+    waiter.thread = std::thread(
+        [respond = std::move(respond), done = &waiter.done]() mutable {
+          respond();
+          done->store(true, std::memory_order_release);
+        });
+  };
   Result<WireRequest> parsed = WireRequest::Parse(line);
   if (!parsed.ok()) {
     WriteLine(fd, write_mu, ErrorResponse(0, parsed.status(), -1).ToJson());
@@ -573,8 +601,8 @@ void WireServer::HandleLine(std::string_view line, int fd,
   if (req.op == "count") {
     std::future<Result<double>> future =
         server_->SubmitCount(req.tenant, req.query, req.epsilon);
-    waiters->emplace_back([fd, write_mu, retry_ms, id = req.id,
-                           future = std::move(future)]() mutable {
+    spawn_waiter([fd, write_mu, retry_ms, id = req.id,
+                  future = std::move(future)]() mutable {
       Result<double> value = future.get();
       if (!value.ok()) {
         WriteLine(fd, write_mu,
@@ -600,8 +628,8 @@ void WireServer::HandleLine(std::string_view line, int fd,
   std::future<Result<MarginalRelease>> future = server_->SubmitMarginals(
       req.tenant, req.specs, std::move(*mechanism), req.epsilon, req.delta,
       static_cast<int>(req.lambda_steps));
-  waiters->emplace_back([fd, write_mu, retry_ms, id = req.id,
-                         future = std::move(future)]() mutable {
+  spawn_waiter([fd, write_mu, retry_ms, id = req.id,
+                future = std::move(future)]() mutable {
     Result<MarginalRelease> release = future.get();
     if (!release.ok()) {
       WriteLine(fd, write_mu,

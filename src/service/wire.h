@@ -29,6 +29,7 @@
 #define IREDUCT_SERVICE_WIRE_H_
 
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -89,7 +90,8 @@ std::string ServerStatsToJson(const QueryServerStats& stats);
 /// parses NDJSON request lines, dispatches onto the server's admission
 /// pipeline and writes id-correlated responses. One reader thread per
 /// connection plus one waiter per queued request; response writes are
-/// serialized per connection.
+/// serialized per connection. The reader joins finished waiters before it
+/// spawns the next one, and every remaining one when the connection ends.
 class WireServer {
  public:
   /// Binds `socket_path` (an existing socket file is replaced) and starts
@@ -111,13 +113,16 @@ class WireServer {
  private:
   WireServer(QueryServer* server, std::string socket_path, int listen_fd);
 
+  /// A thread that writes one queued request's response line (wire.cc).
+  struct Waiter;
+
   void AcceptLoop();
   void ServeConnection(int fd);
   /// Handles one request line, writing any synchronous response and
   /// spawning waiters for queued ops. `write_mu`/`fd` describe the
   /// connection; waiters are collected into `waiters`.
   void HandleLine(std::string_view line, int fd, std::mutex* write_mu,
-                  std::vector<std::thread>* waiters);
+                  std::list<Waiter>* waiters);
 
   QueryServer* const server_;
   const std::string socket_path_;

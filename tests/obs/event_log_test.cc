@@ -206,6 +206,99 @@ TEST(EventLogTest, ConcurrentEmitIsLossless) {
   }
 }
 
+// The events of one unit of work in the capture tests: two instants and a
+// span around them.
+void EmitUnit(EventLog* log, int unit) {
+  EventSpan span("test.unit");
+  span.Field("unit", unit);
+  log->Emit("test.step", {{"unit", unit}, {"step", 0}});
+  log->Emit("test.step", {{"unit", unit}, {"step", 1}});
+}
+
+TEST(EventLogTest, CapturesCommittedInOrderMatchSerialEmission) {
+  EventLog serial;
+  {
+    ScopedInstall install(&serial);
+    serial.Emit("test.before", {});
+    EmitUnit(&serial, 0);
+    EmitUnit(&serial, 1);
+    serial.Emit("test.after", {});
+  }
+  EventLog log;
+  ScopedInstall install(&log);
+  log.Emit("test.before", {});
+  EventCapture captures[2];
+  // Unit 1 runs on its thread while unit 0 runs on another; either may
+  // finish first.
+  std::vector<std::thread> threads;
+  for (int unit : {1, 0}) {
+    threads.emplace_back([&log, &captures, unit] {
+      const EventCapture::Scope scope(&captures[unit]);
+      EmitUnit(&log, unit);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  log.Commit(&captures[0]);
+  log.Commit(&captures[1]);
+  EXPECT_EQ(captures[0].size(), 0u);
+  log.Emit("test.after", {});
+  EXPECT_EQ(log.SnapshotLines(), serial.SnapshotLines());
+  EXPECT_EQ(log.SummaryJson(), serial.SummaryJson());
+  // The span keeps its duration through the capture.
+  EXPECT_NE(log.ChromeTraceJson().find("{\"name\":\"test.unit\",\"ph\":\"X\""),
+            std::string::npos);
+}
+
+TEST(EventLogTest, CapturedEventsStayOffTheRingUntilCommit) {
+  EventLog log;
+  ScopedInstall install(&log);
+  EventCapture capture;
+  {
+    const EventCapture::Scope scope(&capture);
+    EmitUnit(&log, 7);
+    // A nested scope takes over, and the outer one resumes after it.
+    EventCapture inner;
+    {
+      const EventCapture::Scope nested(&inner);
+      log.Emit("test.inner", {});
+    }
+    EXPECT_EQ(inner.size(), 1u);
+    log.Emit("test.outer", {});
+  }
+  EXPECT_EQ(capture.size(), 4u);
+  EXPECT_EQ(log.size(), 0u);
+  EXPECT_EQ(log.total_emitted(), 0u);
+  EXPECT_EQ(log.CountType("test.step"), 0u);
+  log.Emit("test.direct", {});  // outside every scope: straight to the ring
+  EXPECT_EQ(log.size(), 1u);
+  log.Commit(&capture);
+  const std::vector<std::string> lines = log.SnapshotLines();
+  ASSERT_EQ(lines.size(), 5u);
+  EXPECT_EQ(lines[0], "{\"seq\":0,\"type\":\"test.direct\"}");
+  EXPECT_EQ(lines[1],
+            "{\"seq\":1,\"type\":\"test.step\",\"unit\":7,\"step\":0}");
+  EXPECT_EQ(lines[4], "{\"seq\":4,\"type\":\"test.outer\"}");
+  EXPECT_EQ(log.CountType("test.step"), 2u);
+  EXPECT_EQ(log.CountType("test.inner"), 0u);
+}
+
+TEST(EventLogTest, CommitDropsAtCapacityAsRecordDoes) {
+  EventLog direct(/*capacity=*/3);
+  for (int i = 0; i < 7; ++i) direct.Emit("test.ring", {{"i", i}});
+  EventLog committed(/*capacity=*/3);
+  EventCapture capture;
+  {
+    const EventCapture::Scope scope(&capture);
+    for (int i = 0; i < 7; ++i) committed.Emit("test.ring", {{"i", i}});
+  }
+  committed.Commit(&capture);
+  EXPECT_EQ(committed.size(), 3u);
+  EXPECT_EQ(committed.total_emitted(), 7u);
+  EXPECT_EQ(committed.total_dropped(), 4u);
+  EXPECT_EQ(committed.SnapshotLines(), direct.SnapshotLines());
+  EXPECT_EQ(committed.SummaryJson(), direct.SummaryJson());
+}
+
 }  // namespace
 }  // namespace obs
 }  // namespace ireduct

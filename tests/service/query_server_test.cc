@@ -5,7 +5,10 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <future>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -254,6 +257,153 @@ TEST(QueryServerTest, EventStreamIsTheSameAtOneAndEightWorkers) {
   EXPECT_EQ(one, run(8));
 }
 
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+std::string TestDir(const std::string& tag) {
+  return testing::TempDir() + "query_server_test_" + tag + "_" +
+         std::to_string(::getpid());
+}
+
+// The chain-scale script: per tenant a count, an iReduct release, a second
+// count and a Dwork release, each charged to the tenant's journal.
+constexpr int kChainTenants = 16;
+
+struct ChainStep {
+  bool release;
+  std::vector<MarginalSpec> specs;
+  const char* mechanism;
+  ConjunctiveQuery query;
+  double epsilon;
+};
+
+std::vector<ChainStep> ChainScript() {
+  return {{false, {}, "", ConjunctiveQuery{{{1, 1}}}, 0.1},
+          {true, OneWaySpecs(), "ireduct", {}, 0.4},
+          {false, {}, "", ConjunctiveQuery{{{0, 2}}}, 0.05},
+          {true, TwoWaySpec(), "dwork", {}, 0.3}};
+}
+
+std::string ChainTenant(int t) { return "tenant" + std::to_string(t); }
+
+// Runs the script serially against journaled sessions under `dir`: the
+// golden responses (per tenant) and journals.
+std::vector<std::vector<std::string>> RunChainScriptSerial(
+    const Dataset& d, const std::string& dir) {
+  std::vector<std::vector<std::string>> out(kChainTenants);
+  for (int t = 0; t < kChainTenants; ++t) {
+    auto session = PrivateQuerySession::CreateWithJournal(
+        &d, kBudget, 500 + t, dir + "/" + ChainTenant(t) + ".journal");
+    EXPECT_TRUE(session.ok()) << session.status();
+    for (const ChainStep& step : ChainScript()) {
+      if (step.release) {
+        auto r = session->PublishMarginals(
+            step.specs, MechanismSpec(step.mechanism), step.epsilon, 5.0, 40);
+        EXPECT_TRUE(r.ok()) << r.status();
+        out[t].push_back(MarginalReleaseToJson(*r));
+      } else {
+        auto c = session->CountQuery(step.query, step.epsilon);
+        EXPECT_TRUE(c.ok()) << c.status();
+        out[t].push_back(CountToJson(*c));
+      }
+    }
+  }
+  return out;
+}
+
+// The same script for every tenant through one journaled server: all 64
+// requests queue while the dispatcher is paused, steps interleaved across
+// tenants, so they drain as one batch of sixteen four-request chains.
+std::vector<std::vector<std::string>> RunChainScriptThroughServer(
+    const Dataset& d, const std::string& dir, int workers) {
+  QueryServerConfig config;
+  config.workers = workers;
+  config.max_queue = 64;
+  config.max_inflight_per_tenant = 4;
+  config.max_batch = 64;
+  config.journal_dir = dir;
+  auto server = QueryServer::Create(config);
+  EXPECT_TRUE(server.ok());
+  EXPECT_TRUE((*server)->AddDataset("census", d).ok());
+  for (int t = 0; t < kChainTenants; ++t) {
+    EXPECT_TRUE(
+        (*server)->OpenTenant(ChainTenant(t), "census", kBudget, 500 + t).ok());
+  }
+  (*server)->Pause();
+  std::vector<std::vector<std::future<Result<MarginalRelease>>>> releases(
+      kChainTenants);
+  std::vector<std::vector<std::future<Result<double>>>> counts(kChainTenants);
+  for (const ChainStep& step : ChainScript()) {
+    for (int t = 0; t < kChainTenants; ++t) {
+      if (step.release) {
+        releases[t].push_back((*server)->SubmitMarginals(
+            ChainTenant(t), step.specs, MechanismSpec(step.mechanism),
+            step.epsilon, 5.0, 40));
+      } else {
+        counts[t].push_back(
+            (*server)->SubmitCount(ChainTenant(t), step.query, step.epsilon));
+      }
+    }
+  }
+  (*server)->Resume();
+  std::vector<std::vector<std::string>> out(kChainTenants);
+  for (int t = 0; t < kChainTenants; ++t) {
+    size_t next_release = 0;
+    size_t next_count = 0;
+    for (const ChainStep& step : ChainScript()) {
+      if (step.release) {
+        auto r = releases[t][next_release++].get();
+        EXPECT_TRUE(r.ok()) << r.status();
+        out[t].push_back(MarginalReleaseToJson(*r));
+      } else {
+        auto c = counts[t][next_count++].get();
+        EXPECT_TRUE(c.ok()) << c.status();
+        out[t].push_back(CountToJson(*c));
+      }
+    }
+  }
+  (*server)->Drain();
+  return out;
+}
+
+// Sixteen journaled tenants in one 64-request batch: whatever the worker
+// count, and so however the per-tenant chains overlap, the responses equal
+// the serial golden, every tenant's journal holds the serial bytes, and
+// the event stream is the same at one and eight workers.
+TEST(QueryServerTest, ChainsMatchSerialGoldenWithJournalsAndEvents) {
+  const Dataset d = MakeDataset();
+  const std::string root = TestDir("chains");
+  std::filesystem::remove_all(root);
+  const auto golden = RunChainScriptSerial(d, root + "/serial");
+  std::map<int, std::string> streams;
+  for (const int workers : {1, 2, 8}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    const std::string dir = root + "/w" + std::to_string(workers);
+    MarginalCache::Global().Clear();
+    obs::EventLog log;
+    obs::EventLog::Install(&log);
+    const auto got = RunChainScriptThroughServer(d, dir, workers);
+    obs::EventLog::Install(nullptr);
+    EXPECT_EQ(got, golden);
+    for (int t = 0; t < kChainTenants; ++t) {
+      const std::string name = ChainTenant(t) + ".journal";
+      const std::string journal = ReadFile(dir + "/" + name);
+      EXPECT_FALSE(journal.empty());
+      EXPECT_EQ(journal, ReadFile(root + "/serial/" + name)) << name;
+    }
+    EXPECT_EQ(log.CountType("server.batch"), 1u);
+    EXPECT_EQ(log.CountType("journal.append"), 4u * kChainTenants);
+    EXPECT_EQ(log.total_dropped(), 0u);
+    streams[workers] = log.SnapshotJsonl();
+  }
+  EXPECT_EQ(streams[1], streams[8]);
+  std::filesystem::remove_all(root);
+}
+
 TEST(QueryServerTest, BatchingCoalescesIntoFusedPasses) {
   const Dataset d = MakeDataset();
   QueryServerConfig config;
@@ -463,6 +613,54 @@ TEST(QueryServerTest, JournaledTenantsSurviveServerRestart) {
   EXPECT_DOUBLE_EQ(budget->remaining, 1.0 - spent);
   // And the resumed tenant keeps working.
   EXPECT_TRUE((*server)->CountQuery("alice", ConjunctiveQuery{}, 0.1).ok());
+}
+
+// A resumed tenant draws from a fresh stream even when the caller passes
+// the open's seed back: were the noise replayed, two counts' difference
+// would publish their exact true difference.
+TEST(QueryServerTest, ResumedTenantDoesNotReplayReleasedNoise) {
+  const Dataset d = MakeDataset();
+  const std::string root = TestDir("resume_noise");
+  std::filesystem::remove_all(root);
+  const ConjunctiveQuery first{{{1, 1}}};
+  const ConjunctiveQuery second{{{0, 2}}};
+  QueryServerConfig config;
+  config.journal_dir = root + "/live";
+  double first_noise = 0;
+  {
+    auto server = QueryServer::Create(config);
+    ASSERT_TRUE(server.ok());
+    ASSERT_TRUE((*server)->AddDataset("census", d).ok());
+    ASSERT_TRUE((*server)->OpenTenant("alice", "census", 1.0, 11).ok());
+    auto count = (*server)->CountQuery("alice", first, 0.1);
+    ASSERT_TRUE(count.ok()) << count.status();
+    first_noise = *count - *EvaluateQuery(d, first);
+  }
+  // Two copies of the journal as the crash left it.
+  for (const char* copy : {"/a", "/b"}) {
+    std::filesystem::create_directories(root + copy);
+    std::filesystem::copy_file(config.journal_dir + "/alice.journal",
+                               root + copy + "/alice.journal");
+  }
+  auto resume_and_count = [&](const std::string& dir) -> Result<double> {
+    QueryServerConfig resumed = config;
+    resumed.journal_dir = dir;
+    IREDUCT_ASSIGN_OR_RETURN(auto server, QueryServer::Create(resumed));
+    IREDUCT_RETURN_NOT_OK(server->AddDataset("census", d));
+    IREDUCT_RETURN_NOT_OK(server->ResumeTenant("alice", "census", 11));
+    return server->CountQuery("alice", second, 0.1);
+  };
+  const Result<double> live = resume_and_count(config.journal_dir);
+  ASSERT_TRUE(live.ok()) << live.status();
+  EXPECT_NE(*live - *EvaluateQuery(d, second), first_noise);
+  // Resuming one journal with one seed stays deterministic.
+  const Result<double> a = resume_and_count(root + "/a");
+  const Result<double> b = resume_and_count(root + "/b");
+  ASSERT_TRUE(a.ok()) << a.status();
+  ASSERT_TRUE(b.ok()) << b.status();
+  EXPECT_EQ(*a, *b);
+  EXPECT_EQ(*a, *live);
+  std::filesystem::remove_all(root);
 }
 
 TEST(QueryServerTest, ResumeTenantRequiresJournaledServer) {

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -55,10 +56,14 @@ std::string UniqueJournalDir(const char* tag) {
 
 // The child workload. Journal-append hit schedule (hits are 1-based and
 // process-wide): two tenant opens write the journals' open records (hits
-// 1-2), then each completed request appends exactly one grant, strictly in
-// admission order on the dispatcher thread (hits 3+). `crash_at_hit` picks
-// the first record that must NOT survive.
-void RunChildWorkload(const std::string& journal_dir, int crash_at_hit) {
+// 1-2), then each completed request appends exactly one grant (hits 3+).
+// Phase B orders grants per tenant only: t1's chain {count} and t2's chain
+// {release, count} run as separate pool tasks. With one worker they run
+// in first-appearance order, so the hits are t1's count (3), t2's release
+// (4) and t2's count (5); with more workers the two chains interleave.
+// `crash_at_hit` picks the first record that must NOT survive.
+void RunChildWorkload(const std::string& journal_dir, int crash_at_hit,
+                      int workers = 1) {
   const std::string spec =
       "journal.append:crash@" + std::to_string(crash_at_hit);
   if (!FaultInjector::Global().Configure(spec).ok()) {
@@ -68,6 +73,7 @@ void RunChildWorkload(const std::string& journal_dir, int crash_at_hit) {
   QueryServerConfig config;
   config.journal_dir = journal_dir;
   config.max_batch = 16;
+  config.workers = workers;
   auto server = QueryServer::Create(config);
   if (!server.ok()) ::_Exit(kChildSetupFailed);
   if (!(*server)->AddDataset("census", d).ok()) ::_Exit(kChildSetupFailed);
@@ -85,7 +91,7 @@ void RunChildWorkload(const std::string& journal_dir, int crash_at_hit) {
   auto f2 = (*server)->SubmitMarginals(
       "t2", {MarginalSpec{{0}}, MarginalSpec{{1}}}, MechanismSpec("ireduct"),
       0.5, 5.0, 40);  // hit 4
-  auto f3 = (*server)->SubmitCount("t1", ConjunctiveQuery{{{0, 2}}},
+  auto f3 = (*server)->SubmitCount("t2", ConjunctiveQuery{{{0, 2}}},
                                    0.125);  // hit 5
   (*server)->Resume();
   // _Exit(kFaultCrashExitCode) fires on the dispatcher thread at the armed
@@ -96,11 +102,12 @@ void RunChildWorkload(const std::string& journal_dir, int crash_at_hit) {
   ::_Exit(kChildSurvived);
 }
 
-int ForkAndRun(const std::string& journal_dir, int crash_at_hit) {
+int ForkAndRun(const std::string& journal_dir, int crash_at_hit,
+               int workers = 1) {
   const pid_t pid = ::fork();
   EXPECT_GE(pid, 0);
   if (pid == 0) {
-    RunChildWorkload(journal_dir, crash_at_hit);  // never returns
+    RunChildWorkload(journal_dir, crash_at_hit, workers);  // never returns
   }
   int wstatus = 0;
   EXPECT_EQ(::waitpid(pid, &wstatus, 0), pid);
@@ -114,10 +121,10 @@ double SumCharges(const LedgerJournal::Recovered& recovered) {
   return sum;
 }
 
-// Crash on the 5th append: t1's first count (hit 3) and t2's marginal
-// release (hit 4) are durable; t1's second count dies before a byte of its
-// grant is written. Both journals must recover cleanly with exactly the
-// confirmed charges.
+// Crash on the 5th append: t1's count (hit 3) and t2's marginal release
+// (hit 4) are durable; t2's count dies before a byte of its grant is
+// written. Both journals must recover cleanly with exactly the confirmed
+// charges.
 TEST(ServiceCrashTest, MidBatchCrashLeavesEveryJournalRecoverable) {
   const std::string journal_dir = UniqueJournalDir("mid_batch");
   ASSERT_EQ(ForkAndRun(journal_dir, 5), kFaultCrashExitCode);
@@ -177,6 +184,77 @@ TEST(ServiceCrashTest, MidBatchCrashLeavesEveryJournalRecoverable) {
   auto after = LedgerJournal::Recover(journal_dir + "/t1.journal");
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->charges.size(), 2u);
+}
+
+// The admission order of each tenant's grants in the child workload:
+// {label fragment, epsilon}, with 0 for the release's spent ε (at most
+// its 0.5 slice).
+struct ExpectedGrant {
+  const char* label;
+  double epsilon;
+};
+
+// True when `recovered` holds a prefix of `order`.
+::testing::AssertionResult IsPrefixOf(
+    const LedgerJournal::Recovered& recovered,
+    const std::vector<ExpectedGrant>& order) {
+  if (recovered.charges.size() > order.size()) {
+    return ::testing::AssertionFailure()
+           << recovered.charges.size() << " grants, at most " << order.size()
+           << " admitted";
+  }
+  for (size_t i = 0; i < recovered.charges.size(); ++i) {
+    const PrivacyCharge& charge = recovered.charges[i];
+    if (charge.label.find(order[i].label) != 0) {
+      return ::testing::AssertionFailure()
+             << "grant " << i << " is '" << charge.label << "', expected '"
+             << order[i].label << "...'";
+    }
+    const bool epsilon_ok = order[i].epsilon > 0
+                                ? charge.epsilon == order[i].epsilon
+                                : charge.epsilon > 0 &&
+                                      charge.epsilon <= 0.5 * (1 + 1e-9);
+    if (!epsilon_ok) {
+      return ::testing::AssertionFailure()
+             << "grant " << i << " charged " << charge.epsilon;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Every crash point of the 3-request script with the two chains running
+// on four workers, in whatever interleaving the scheduler picks: each
+// journal recovers, each tenant's grants are a prefix of its admission
+// order, and no more grants survive than were appended before the crash
+// (fewer may: the crashing append never writes, and an append that had
+// passed the fault point may not have written when the process died).
+TEST(ServiceCrashTest, EveryCrashPointUnderConcurrentChainsRecovers) {
+  const std::vector<ExpectedGrant> t1_order = {{"count ", 0.25}};
+  const std::vector<ExpectedGrant> t2_order = {{"marginal release (", 0},
+                                               {"count ", 0.125}};
+  for (int crash_at_hit = 3; crash_at_hit <= 5; ++crash_at_hit) {
+    SCOPED_TRACE("crash@" + std::to_string(crash_at_hit));
+    const std::string journal_dir =
+        UniqueJournalDir(("chains_" + std::to_string(crash_at_hit)).c_str());
+    // OpenTenant refuses an existing journal: start each repeat afresh.
+    std::filesystem::remove_all(journal_dir);
+    ASSERT_EQ(ForkAndRun(journal_dir, crash_at_hit, /*workers=*/4),
+              kFaultCrashExitCode);
+    size_t recovered_grants = 0;
+    for (const auto& [tenant, order] :
+         {std::pair{"t1", t1_order}, std::pair{"t2", t2_order}}) {
+      auto recovered =
+          LedgerJournal::Recover(journal_dir + "/" + tenant + ".journal");
+      ASSERT_TRUE(recovered.ok()) << tenant << ": " << recovered.status();
+      EXPECT_DOUBLE_EQ(recovered->budget, 2.0);
+      EXPECT_TRUE(IsPrefixOf(*recovered, order)) << tenant;
+      auto accountant = LedgerJournal::Replay(*recovered);
+      ASSERT_TRUE(accountant.ok()) << tenant << ": " << accountant.status();
+      EXPECT_DOUBLE_EQ(accountant->spent(), SumCharges(*recovered));
+      recovered_grants += recovered->charges.size();
+    }
+    EXPECT_LE(recovered_grants, static_cast<size_t>(crash_at_hit - 3));
+  }
 }
 
 // Crash on the very first grant: both journals hold only their open

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
@@ -431,6 +432,43 @@ TEST(WireServerTest, AdmissionShedSurfacesRetryAfterOverTheWire) {
   auto budget = (*server)->GetBudget("t");
   ASSERT_TRUE(budget.ok());
   EXPECT_DOUBLE_EQ(budget->spent, 0.2);  // two admitted counts, no shed charge
+}
+
+size_t MapsLines() {
+  std::ifstream maps("/proc/self/maps");
+  size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+// Each queued request gets a waiter thread; a finished one is joined
+// before the next is spawned, so a long-lived connection does not keep a
+// stack mapping per request it ever served.
+TEST(WireServerTest, FinishedWaitersAreJoinedWhileTheConnectionLives) {
+  const Dataset d = MakeDataset();
+  auto server = QueryServer::Create(QueryServerConfig{});
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->AddDataset("census", d).ok());
+  ASSERT_TRUE((*server)->OpenTenant("t", "census", 1e6, 51).ok());
+  const std::string socket_path = UniqueSocketPath("reap");
+  auto wire = WireServer::Start(server->get(), socket_path);
+  ASSERT_TRUE(wire.ok()) << wire.status();
+  auto client = WireClient::Connect(socket_path);
+  ASSERT_TRUE(client.ok()) << client.status();
+  WireRequest count;
+  count.op = "count";
+  count.tenant = "t";
+  count.epsilon = 0.1;
+  count.id = 1;
+  ASSERT_TRUE(client->Call(count).ok());  // the first waiter's stack
+  const size_t before = MapsLines();
+  for (uint64_t id = 2; id <= 2001; ++id) {
+    count.id = id;
+    auto response = client->Call(count);
+    ASSERT_TRUE(response.ok()) << response.status();
+    ASSERT_TRUE(response->ok) << response->message;
+  }
+  EXPECT_LT(MapsLines(), before + 100);
 }
 
 TEST(WireServerTest, StartValidatesArguments) {

@@ -42,7 +42,9 @@
 #                             # marginal evaluator, marginal cache,
 #                             # metrics registry, the parallel trial
 #                             # runner, and the multi-tenant query server
-#                             # (admission pipeline + wire protocol)
+#                             # (admission pipeline + wire protocol), with
+#                             # the Phase B chain and event capture cases
+#                             # repeated 20 times
 #   tools/check.sh service    # Query-service smoke: the admission /
 #                             # batching / crash-recovery suites, the
 #                             # service_throughput bench at reduced scale
@@ -194,6 +196,14 @@ if [ "$mode" = threads ]; then
     echo "== TSan: $t =="
     IREDUCT_THREADS=4 ./build-tsan/tests/"$t"
   done
+  # The per-tenant Phase B chains and the event captures they record into
+  # interleave differently on every run; repeat them to cover more
+  # schedules.
+  echo "== TSan: Phase B chains and event captures, 20 repeats =="
+  IREDUCT_THREADS=4 ./build-tsan/tests/query_server_test --gtest_repeat=20 \
+    --gtest_filter='*Chains*:*EventStream*'
+  IREDUCT_THREADS=4 ./build-tsan/tests/event_log_test --gtest_repeat=20 \
+    --gtest_filter='*Capture*:*Commit*'
   exit 0
 fi
 
