@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "eval/stats.h"
 
 namespace ireduct {
@@ -165,6 +169,190 @@ TEST(BitGenTest, ForkAdvancesParentByOneDraw) {
   forked.Fork();
   plain();  // one manual draw
   for (int i = 0; i < 50; ++i) EXPECT_EQ(forked(), plain());
+}
+
+// LaplaceBatch is pinned, not just self-consistent: every released value a
+// batch feeds (the Laplace mechanism, iResamp) must keep its bits. Per case:
+// the FNV-1a 64 of the output bits in order, the first four outputs' bits
+// (zero past n), and the parent's next raw draw, which pins how far the
+// batch advanced it.
+struct LaplaceBatchGolden {
+  uint64_t seed;
+  size_t n;
+  uint64_t fnv;
+  std::array<uint64_t, 4> first;
+  uint64_t parent_next;
+};
+
+constexpr LaplaceBatchGolden kLaplaceBatchGolden[] = {
+      {1, 0, 0xcbf29ce484222325ULL,
+       {0x0000000000000000ULL, 0x0000000000000000ULL, 0x0000000000000000ULL,
+        0x0000000000000000ULL},
+       0xcfc5d07f6f03c29bULL},
+      {1, 1, 0xb110a592ff8d6510ULL,
+       {0xbfd3707d87537d8fULL, 0x0000000000000000ULL, 0x0000000000000000ULL,
+        0x0000000000000000ULL},
+       0x2f47184b86186fa4ULL},
+      {1, 2, 0x8b176beecc819667ULL,
+       {0xbfd3707d87537d8fULL, 0x3fb46128a7c7977eULL, 0x0000000000000000ULL,
+        0x0000000000000000ULL},
+       0x2f47184b86186fa4ULL},
+      {1, 3, 0x7c249ed9a846e106ULL,
+       {0xbfd3707d87537d8fULL, 0x3fb46128a7c7977eULL, 0xc006db7fa71c6c40ULL,
+        0x0000000000000000ULL},
+       0x2f47184b86186fa4ULL},
+      {1, 4, 0x9fc77e9e8212c768ULL,
+       {0xbfd3707d87537d8fULL, 0x3fb46128a7c7977eULL, 0xc006db7fa71c6c40ULL,
+        0x3ffab8dd9f306653ULL},
+       0x2f47184b86186fa4ULL},
+      {1, 5, 0xa892d58b9a429551ULL,
+       {0xbfd3707d87537d8fULL, 0x3fb46128a7c7977eULL, 0xc006db7fa71c6c40ULL,
+        0x3ffab8dd9f306653ULL},
+       0x2f47184b86186fa4ULL},
+      {1, 7, 0x354a227cda1df85cULL,
+       {0xbfd3707d87537d8fULL, 0x3fb46128a7c7977eULL, 0xc006db7fa71c6c40ULL,
+        0x3ffab8dd9f306653ULL},
+       0x2f47184b86186fa4ULL},
+      {1, 8, 0x58ec3bf9f7cfec6aULL,
+       {0xbfd3707d87537d8fULL, 0x3fb46128a7c7977eULL, 0xc006db7fa71c6c40ULL,
+        0x3ffab8dd9f306653ULL},
+       0x2f47184b86186fa4ULL},
+      {1, 16, 0x0c55cb2a47a53651ULL,
+       {0xbfd3707d87537d8fULL, 0x3fb46128a7c7977eULL, 0xc006db7fa71c6c40ULL,
+        0x3ffab8dd9f306653ULL},
+       0x2f47184b86186fa4ULL},
+      {1, 63, 0x661f2fd2f8dcbecfULL,
+       {0xbfd3707d87537d8fULL, 0x3fb46128a7c7977eULL, 0xc006db7fa71c6c40ULL,
+        0x3ffab8dd9f306653ULL},
+       0x2f47184b86186fa4ULL},
+      {1, 1000, 0x583a5eb3f8a2921dULL,
+       {0xbfd3707d87537d8fULL, 0x3fb46128a7c7977eULL, 0xc006db7fa71c6c40ULL,
+        0x3ffab8dd9f306653ULL},
+       0x2f47184b86186fa4ULL},
+      {1, 1001, 0xb0bf13bcaaaecb22ULL,
+       {0xbfd3707d87537d8fULL, 0x3fb46128a7c7977eULL, 0xc006db7fa71c6c40ULL,
+        0x3ffab8dd9f306653ULL},
+       0x2f47184b86186fa4ULL},
+      {42, 0, 0xcbf29ce484222325ULL,
+       {0x0000000000000000ULL, 0x0000000000000000ULL, 0x0000000000000000ULL,
+        0x0000000000000000ULL},
+       0xd0764d4f4476689fULL},
+      {42, 1, 0x9466c3979a5f2e4eULL,
+       {0xbfbe4b341a5b78c4ULL, 0x0000000000000000ULL, 0x0000000000000000ULL,
+        0x0000000000000000ULL},
+       0xcb231c3874846a73ULL},
+      {42, 2, 0x6da9e6547d30eac7ULL,
+       {0xbfbe4b341a5b78c4ULL, 0xbff529b8917d62aeULL, 0x0000000000000000ULL,
+        0x0000000000000000ULL},
+       0xcb231c3874846a73ULL},
+      {42, 3, 0xc5afafd67cc2d679ULL,
+       {0xbfbe4b341a5b78c4ULL, 0xbff529b8917d62aeULL, 0x3ff81fb88ddd45f7ULL,
+        0x0000000000000000ULL},
+       0xcb231c3874846a73ULL},
+      {42, 4, 0xc8ca15690c4a3e72ULL,
+       {0xbfbe4b341a5b78c4ULL, 0xbff529b8917d62aeULL, 0x3ff81fb88ddd45f7ULL,
+        0xc01ae9cee0aadf2fULL},
+       0xcb231c3874846a73ULL},
+      {42, 5, 0x6e0cc45283e76a09ULL,
+       {0xbfbe4b341a5b78c4ULL, 0xbff529b8917d62aeULL, 0x3ff81fb88ddd45f7ULL,
+        0xc01ae9cee0aadf2fULL},
+       0xcb231c3874846a73ULL},
+      {42, 7, 0x66f76de556e8f3e5ULL,
+       {0xbfbe4b341a5b78c4ULL, 0xbff529b8917d62aeULL, 0x3ff81fb88ddd45f7ULL,
+        0xc01ae9cee0aadf2fULL},
+       0xcb231c3874846a73ULL},
+      {42, 8, 0x01643f4523268286ULL,
+       {0xbfbe4b341a5b78c4ULL, 0xbff529b8917d62aeULL, 0x3ff81fb88ddd45f7ULL,
+        0xc01ae9cee0aadf2fULL},
+       0xcb231c3874846a73ULL},
+      {42, 16, 0x40044fcdfe7e3b3cULL,
+       {0xbfbe4b341a5b78c4ULL, 0xbff529b8917d62aeULL, 0x3ff81fb88ddd45f7ULL,
+        0xc01ae9cee0aadf2fULL},
+       0xcb231c3874846a73ULL},
+      {42, 63, 0xc0898a241aef0e41ULL,
+       {0xbfbe4b341a5b78c4ULL, 0xbff529b8917d62aeULL, 0x3ff81fb88ddd45f7ULL,
+        0xc01ae9cee0aadf2fULL},
+       0xcb231c3874846a73ULL},
+      {42, 1000, 0x218ad5df12718631ULL,
+       {0xbfbe4b341a5b78c4ULL, 0xbff529b8917d62aeULL, 0x3ff81fb88ddd45f7ULL,
+        0xc01ae9cee0aadf2fULL},
+       0xcb231c3874846a73ULL},
+      {42, 1001, 0x8f242089c5492ae5ULL,
+       {0xbfbe4b341a5b78c4ULL, 0xbff529b8917d62aeULL, 0x3ff81fb88ddd45f7ULL,
+        0xc01ae9cee0aadf2fULL},
+       0xcb231c3874846a73ULL},
+      {9001, 0, 0xcbf29ce484222325ULL,
+       {0x0000000000000000ULL, 0x0000000000000000ULL, 0x0000000000000000ULL,
+        0x0000000000000000ULL},
+       0x174bb434b7685204ULL},
+      {9001, 1, 0xded167f7f3ae99f9ULL,
+       {0x3fafb1cea165c6abULL, 0x0000000000000000ULL, 0x0000000000000000ULL,
+        0x0000000000000000ULL},
+       0x2cdc04822277b75fULL},
+      {9001, 2, 0x26bd9ee08cf57716ULL,
+       {0x3fafb1cea165c6abULL, 0x3feeb41ddde18bdaULL, 0x0000000000000000ULL,
+        0x0000000000000000ULL},
+       0x2cdc04822277b75fULL},
+      {9001, 3, 0x70ee98d45fad5028ULL,
+       {0x3fafb1cea165c6abULL, 0x3feeb41ddde18bdaULL, 0x3ffd9dcbd9fbf0aaULL,
+        0x0000000000000000ULL},
+       0x2cdc04822277b75fULL},
+      {9001, 4, 0x4021907a7c21c276ULL,
+       {0x3fafb1cea165c6abULL, 0x3feeb41ddde18bdaULL, 0x3ffd9dcbd9fbf0aaULL,
+        0x3fe338a1cd35eaa9ULL},
+       0x2cdc04822277b75fULL},
+      {9001, 5, 0xb1efb19d06f0144fULL,
+       {0x3fafb1cea165c6abULL, 0x3feeb41ddde18bdaULL, 0x3ffd9dcbd9fbf0aaULL,
+        0x3fe338a1cd35eaa9ULL},
+       0x2cdc04822277b75fULL},
+      {9001, 7, 0x2c390b0fa746cedfULL,
+       {0x3fafb1cea165c6abULL, 0x3feeb41ddde18bdaULL, 0x3ffd9dcbd9fbf0aaULL,
+        0x3fe338a1cd35eaa9ULL},
+       0x2cdc04822277b75fULL},
+      {9001, 8, 0x7ae49d7e464e8aa6ULL,
+       {0x3fafb1cea165c6abULL, 0x3feeb41ddde18bdaULL, 0x3ffd9dcbd9fbf0aaULL,
+        0x3fe338a1cd35eaa9ULL},
+       0x2cdc04822277b75fULL},
+      {9001, 16, 0x06289d62fc1e2133ULL,
+       {0x3fafb1cea165c6abULL, 0x3feeb41ddde18bdaULL, 0x3ffd9dcbd9fbf0aaULL,
+        0x3fe338a1cd35eaa9ULL},
+       0x2cdc04822277b75fULL},
+      {9001, 63, 0xf97e38734b2a4982ULL,
+       {0x3fafb1cea165c6abULL, 0x3feeb41ddde18bdaULL, 0x3ffd9dcbd9fbf0aaULL,
+        0x3fe338a1cd35eaa9ULL},
+       0x2cdc04822277b75fULL},
+      {9001, 1000, 0xeab84729959d420dULL,
+       {0x3fafb1cea165c6abULL, 0x3feeb41ddde18bdaULL, 0x3ffd9dcbd9fbf0aaULL,
+        0x3fe338a1cd35eaa9ULL},
+       0x2cdc04822277b75fULL},
+      {9001, 1001, 0xbee73b1bdc6d8af4ULL,
+       {0x3fafb1cea165c6abULL, 0x3feeb41ddde18bdaULL, 0x3ffd9dcbd9fbf0aaULL,
+        0x3fe338a1cd35eaa9ULL},
+       0x2cdc04822277b75fULL},
+};
+
+TEST(BitGenTest, LaplaceBatchMatchesGolden) {
+  for (const LaplaceBatchGolden& g : kLaplaceBatchGolden) {
+    std::vector<double> scales(g.n), out(g.n);
+    for (size_t i = 0; i < g.n; ++i) {
+      scales[i] = 0.25 + static_cast<double>(i % 7);
+    }
+    BitGen gen(g.seed);
+    gen.LaplaceBatch(scales, out);
+    uint64_t fnv = kFnv1a64Basis;
+    for (const double v : out) {
+      fnv = Fnv1a64Int(fnv, std::bit_cast<uint64_t>(v));
+    }
+    std::array<uint64_t, 4> first{};
+    for (size_t i = 0; i < g.n && i < first.size(); ++i) {
+      first[i] = std::bit_cast<uint64_t>(out[i]);
+    }
+    SCOPED_TRACE("seed " + std::to_string(g.seed) + " n " +
+                 std::to_string(g.n));
+    EXPECT_EQ(fnv, g.fnv);
+    EXPECT_EQ(first, g.first);
+    EXPECT_EQ(gen(), g.parent_next);
+  }
 }
 
 TEST(BitGenTest, BernoulliMatchesProbability) {
