@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "common/env.h"
-#include "common/simd.h"
 #include "eval/metrics.h"
 #include "eval/run_report.h"
 #include "obs/event_log.h"
@@ -239,13 +238,6 @@ void WriteHostInfo(obs::JsonWriter& writer) {
   writer.KV("cpu_model", CpuModelName());
   writer.KV("hardware_concurrency",
             static_cast<uint64_t>(std::thread::hardware_concurrency()));
-  writer.KV("simd_detected", simd::TierName(simd::DetectedTier()));
-  writer.KV("simd_active", simd::TierName(simd::ActiveTier()));
-#ifdef IREDUCT_BENCH_MARCH_FLAGS
-  writer.KV("march_flags", IREDUCT_BENCH_MARCH_FLAGS);
-#else
-  writer.KV("march_flags", "unknown");
-#endif
   writer.EndObject();
 }
 

@@ -115,9 +115,8 @@ int Trials();
 int IReductSteps();
 
 /// Writes a "host" object into an open JSON object: CPU model (from
-/// /proc/cpuinfo), hardware concurrency, detected and active SIMD tiers,
-/// and the -march flags the build used. Every BENCH_*.json carries it so
-/// perf trajectories are comparable across machines and build configs.
+/// /proc/cpuinfo) and hardware concurrency. Every BENCH_*.json carries it
+/// so perf trajectories are comparable across machines.
 void WriteHostInfo(obs::JsonWriter& writer);
 
 /// Pre-registers the standard mechanism-work metrics (iReduct iterations,

@@ -5,14 +5,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "algorithms/ireduct.h"
 #include "algorithms/selection.h"
 #include "common/logging.h"
 #include "common/random.h"
-#include "common/simd.h"
-#include "common/simd_kernels.h"
 #include "common/thread_pool.h"
 #include "data/census_generator.h"
 #include "dp/incremental_sensitivity.h"
@@ -21,6 +20,7 @@
 #include "dp/workload.h"
 #include "marginals/marginal.h"
 #include "marginals/consistency.h"
+#include "marginals/count_kernel.h"
 #include "marginals/marginal_evaluator.h"
 #include "marginals/marginal_set.h"
 #include "marginals/marginal_workload.h"
@@ -42,132 +42,139 @@ void BM_LaplaceSample(benchmark::State& state) {
 }
 BENCHMARK(BM_LaplaceSample);
 
-// Batch Laplace sampling: the dispatched kernel tier vs the pinned scalar
-// reference on identical lane states. The outputs are bit-identical
-// (simd_kernels_test enforces it); these benches measure only the cost
-// gap, which tools/check.sh perf gates at >= 2x on AVX2 hardware.
-simd::LaneStates BenchLaneStates() {
-  BitGen gen(12);
-  simd::LaneStates states;
-  for (auto& lane : states) lane = gen.Fork().SaveState();
-  return states;
-}
+// Column pointers and row-major strides of `spec` over `dataset`, laid out
+// as MarginalSetEvaluator hands them to CountCells.
+struct KernelPlan {
+  std::vector<const uint16_t*> cols;
+  std::vector<size_t> strides;
+  size_t cells = 1;
 
-void BM_BatchLaplaceKernel(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const simd::LaneStates states = BenchLaneStates();
-  std::vector<double> scales(n, 2.0);
-  std::vector<double> out(n);
-  for (auto _ : state) {
-    simd::BatchLaplace(states, scales.data(), out.data(), n);
-    benchmark::DoNotOptimize(out.data());
+  KernelPlan(const Dataset& dataset, const MarginalSpec& spec) {
+    strides.resize(spec.attributes.size());
+    for (size_t i = spec.attributes.size(); i-- > 0;) {
+      strides[i] = cells;
+      cells *= dataset.schema().attribute(spec.attributes[i]).domain_size;
+    }
+    for (const uint32_t a : spec.attributes) {
+      cols.push_back(dataset.column(a).data());
+    }
   }
-  state.SetItemsProcessed(state.iterations() * n);
-  state.SetLabel(simd::TierName(simd::ActiveTier()));
-}
-BENCHMARK(BM_BatchLaplaceKernel)->Arg(1024)->Arg(65536);
 
-void BM_BatchLaplaceScalarRef(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const simd::LaneStates states = BenchLaneStates();
-  std::vector<double> scales(n, 2.0);
-  std::vector<double> out(n);
-  for (auto _ : state) {
-    simd::BatchLaplaceScalarRef(states, scales.data(), out.data(), n);
-    benchmark::DoNotOptimize(out.data());
+  CountArgs Args(size_t rows, uint32_t* counts, uint32_t* scratch) const {
+    CountArgs args;
+    args.cols = cols.data();
+    args.strides = strides.data();
+    args.arity = cols.size();
+    args.end = rows;
+    args.counts = counts;
+    args.cells = cells;
+    args.lane_scratch = scratch;
+    return args;
   }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_BatchLaplaceScalarRef)->Arg(1024)->Arg(65536);
+};
 
 // Per-shard counting on a Zipf-skewed 2-attribute census column pair —
-// the exact shape of the fused evaluator's inner loop. Three rungs:
+// the shape of the fused evaluator's inner loop on the paper's 2D task:
 //
-//   BM_CountPlanKernel        dispatched kernel (lane-striped increments,
-//                             vector index computation on AVX2)
-//   BM_CountPlanScalarRef     the same kernel algorithm pinned to the
-//                             scalar tier (the bit-parity reference)
+//   BM_CountPlanKernel        CountCells, striped over four lane tables
 //   BM_CountPlanReferenceLoop Marginal::Compute on the same spec — the
 //                             per-marginal reference counting path that
 //                             eval_scaling's naive section times
 //
-// tools/check.sh perf gates kernel vs reference loop at >= 2x on AVX2
-// hardware. Kernel vs its own scalar tier is a smaller, CPU-dependent gap
-// (~1.2-1.3x on cores with memory renaming, where the reference's
-// store-to-load increment chains never stall to begin with); the bulk of
-// the win over the reference comes from u32 tables, pre-resolved strides,
-// and raw column pointers, which every tier of the kernel shares.
-void BM_CountPlanKernel(benchmark::State& state) {
+// tools/check.sh perf gates kernel vs reference loop at >= 2x
+// (KERNEL_MIN_SPEEDUP) on every host.
+const Dataset& CountPlanDataset() {
   static const Dataset* dataset = [] {
     CensusConfig c;
     c.rows = 100'000;
     return new Dataset(std::move(*GenerateCensus(c)));
   }();
-  const size_t n = dataset->num_rows();
-  const uint32_t d0 = dataset->schema().attribute(kOccupation).domain_size;
-  const uint32_t d1 = dataset->schema().attribute(kEducation).domain_size;
-  const size_t cells = static_cast<size_t>(d0) * d1;
-  std::vector<uint32_t> counts(cells);
-  std::vector<uint32_t> scratch(simd::kBatchLanes * cells);
-  simd::CountPlanArgs args;
-  args.col0 = dataset->column(kOccupation).data();
-  args.col1 = dataset->column(kEducation).data();
-  args.begin = 0;
-  args.end = n;
-  args.stride0 = d1;
-  args.counts = counts.data();
-  args.cells = cells;
-  args.lane_scratch = scratch.data();
+  return *dataset;
+}
+
+void BM_CountPlanKernel(benchmark::State& state) {
+  const Dataset& dataset = CountPlanDataset();
+  const KernelPlan plan(dataset, MarginalSpec{{kOccupation, kEducation}});
+  std::vector<uint32_t> counts(plan.cells);
+  std::vector<uint32_t> scratch(kCountLanes * plan.cells);
+  const CountArgs args =
+      plan.Args(dataset.num_rows(), counts.data(), scratch.data());
   for (auto _ : state) {
     std::fill(counts.begin(), counts.end(), 0);
-    simd::CountPlan(args);
+    CountCells(args);
     benchmark::DoNotOptimize(counts.data());
   }
-  state.SetItemsProcessed(state.iterations() * n);
-  state.SetLabel(simd::TierName(simd::ActiveTier()));
+  state.SetItemsProcessed(state.iterations() * dataset.num_rows());
 }
 BENCHMARK(BM_CountPlanKernel);
 
-void BM_CountPlanScalarRef(benchmark::State& state) {
+// One scan_10m shard: 2.5M census rows (10M over 4 threads), counted
+// striped into every 2- and 3-way spec of at most 1,024 cells, the pool
+// that workload's requests draw from. Every table takes the 16-bit index.
+const Dataset& ShardDataset() {
   static const Dataset* dataset = [] {
     CensusConfig c;
-    c.rows = 100'000;
+    c.rows = 2'500'000;
     return new Dataset(std::move(*GenerateCensus(c)));
   }();
-  const size_t n = dataset->num_rows();
-  const uint32_t d0 = dataset->schema().attribute(kOccupation).domain_size;
-  const uint32_t d1 = dataset->schema().attribute(kEducation).domain_size;
-  const size_t cells = static_cast<size_t>(d0) * d1;
-  std::vector<uint32_t> counts(cells);
-  simd::CountPlanArgs args;
-  args.col0 = dataset->column(kOccupation).data();
-  args.col1 = dataset->column(kEducation).data();
-  args.begin = 0;
-  args.end = n;
-  args.stride0 = d1;
-  args.counts = counts.data();
-  args.cells = cells;
+  return *dataset;
+}
+
+void BM_CountCellsScanShard(benchmark::State& state) {
+  const Dataset& dataset = ShardDataset();
+  std::vector<KernelPlan> plans;
+  size_t max_cells = 0;
+  for (const int k : {2, 3}) {
+    const std::vector<MarginalSpec> specs =
+        std::move(*AllKWaySpecs(dataset.schema(), k));
+    for (const MarginalSpec& spec : specs) {
+      KernelPlan plan(dataset, spec);
+      if (plan.cells > 1024) continue;
+      max_cells = std::max(max_cells, plan.cells);
+      plans.push_back(std::move(plan));
+    }
+  }
+  std::vector<uint32_t> counts(max_cells);
+  std::vector<uint32_t> scratch(kCountLanes * max_cells);
   for (auto _ : state) {
-    std::fill(counts.begin(), counts.end(), 0);
-    simd::CountPlanScalarRef(args);
+    for (const KernelPlan& plan : plans) {
+      CountCells(plan.Args(dataset.num_rows(), counts.data(), scratch.data()));
+    }
     benchmark::DoNotOptimize(counts.data());
   }
-  state.SetItemsProcessed(state.iterations() * n);
+  state.SetItemsProcessed(state.iterations() * dataset.num_rows() *
+                          plans.size());
+  state.SetLabel(std::to_string(plans.size()) + " specs");
 }
-BENCHMARK(BM_CountPlanScalarRef);
+BENCHMARK(BM_CountCellsScanShard)->Unit(benchmark::kMillisecond);
+
+// The same shard counted striped into one wide 3-way table, Age x
+// Occupation x Gender (103,424 cells): past 65,536 cells the index is
+// size_t, which no benchmark workload reaches.
+void BM_CountCellsWideTable(benchmark::State& state) {
+  const Dataset& dataset = ShardDataset();
+  const KernelPlan plan(dataset, MarginalSpec{{kAge, kOccupation, kGender}});
+  std::vector<uint32_t> counts(plan.cells);
+  std::vector<uint32_t> scratch(kCountLanes * plan.cells);
+  const CountArgs args =
+      plan.Args(dataset.num_rows(), counts.data(), scratch.data());
+  for (auto _ : state) {
+    std::fill(counts.begin(), counts.end(), 0);
+    CountCells(args);
+    benchmark::DoNotOptimize(counts.data());
+  }
+  state.SetItemsProcessed(state.iterations() * dataset.num_rows());
+}
+BENCHMARK(BM_CountCellsWideTable)->Unit(benchmark::kMillisecond);
 
 void BM_CountPlanReferenceLoop(benchmark::State& state) {
-  static const Dataset* dataset = [] {
-    CensusConfig c;
-    c.rows = 100'000;
-    return new Dataset(std::move(*GenerateCensus(c)));
-  }();
+  const Dataset& dataset = CountPlanDataset();
   const MarginalSpec spec{{kOccupation, kEducation}};
   for (auto _ : state) {
-    auto marginal = Marginal::Compute(*dataset, spec);
+    auto marginal = Marginal::Compute(dataset, spec);
     benchmark::DoNotOptimize(marginal);
   }
-  state.SetItemsProcessed(state.iterations() * dataset->num_rows());
+  state.SetItemsProcessed(state.iterations() * dataset.num_rows());
 }
 BENCHMARK(BM_CountPlanReferenceLoop);
 

@@ -148,8 +148,8 @@ Result<MechanismOutput> RunIResamp(const Workload& workload,
     nominal[g] = new_nominal;
 
     // Lines 12-17: fresh sample per query, folded into the running
-    // minimum-variance estimate. Large groups draw through the vectorized
-    // batch kernels with arena-staged buffers (zero heap traffic per
+    // minimum-variance estimate. Large groups draw through
+    // BitGen::LaplaceBatch with arena-staged buffers (zero heap traffic per
     // round); small groups keep the per-element sampler. Both paths are
     // deterministic functions of the generator state, so the released
     // answers depend only on the seed and the round sequence.

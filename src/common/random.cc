@@ -1,10 +1,10 @@
 #include "common/random.h"
 
+#include <bit>
 #include <cmath>
 #include <limits>
 
 #include "common/logging.h"
-#include "common/simd_kernels.h"
 
 namespace ireduct {
 
@@ -114,12 +114,65 @@ BitGen BitGen::Fork() { return BitGen((*this)()); }
 
 namespace {
 
-// Four lane substreams in fixed fork order: exactly simd::kBatchLanes
-// parent draws, whatever the batch size.
-simd::LaneStates ForkLanes(BitGen& gen) {
-  simd::LaneStates states;
-  for (auto& lane : states) lane = gen.Fork().SaveState();
-  return states;
+// log(x) for x in [2^-53, 1]: Cephes log.c evaluated with plain +, -, *, /
+// in a fixed order and no libm call (the baseline x86-64 target has no FMA
+// to contract them into), so the batch stream is the same bits on every
+// machine. Relative error is ~2e-17 over the reduced argument
+// range. Constants are the published Cephes double-precision set.
+double CephesLog(double x) {
+  const uint64_t bits = std::bit_cast<uint64_t>(x);
+  // Exponent as a double via the 2^52 magic-number trick (values < 2^52
+  // convert exactly); x is normal and positive here.
+  const double ebits =
+      std::bit_cast<double>((bits >> 52) | 0x4330000000000000ULL);
+  double e = (ebits - 0x1.0p52) - 1023.0;
+  // Mantissa remapped to [1, 2), folded down past sqrt(2) so z = m - 1
+  // stays in [-0.2929, 0.4142].
+  double m = std::bit_cast<double>((bits & 0x000FFFFFFFFFFFFFULL) |
+                                   0x3FF0000000000000ULL);
+  if (m > 1.41421356237309504880) {
+    m = m * 0.5;
+    e = e + 1.0;
+  }
+  const double z = m - 1.0;
+  const double z2 = z * z;
+
+  double p = 1.01875663804580931796e-4;
+  p = p * z + 4.97494994976747001425e-1;
+  p = p * z + 4.70579119878881725854e0;
+  p = p * z + 1.44989225341610930846e1;
+  p = p * z + 1.79368678507819816313e1;
+  p = p * z + 7.70838733755885391666e0;
+
+  double q = z + 1.12873587189167450590e1;
+  q = q * z + 4.52279145837532221105e1;
+  q = q * z + 8.29875266912776603211e1;
+  q = q * z + 7.11544750618563894466e1;
+  q = q * z + 2.31251620126765340583e1;
+
+  double y = z * ((z2 * p) / q);
+  y = y - e * 2.121944400546905827679e-4;
+  y = y - 0.5 * z2;
+  const double r = z + y;
+  return r + e * 0.693359375;
+}
+
+// Laplace(scale) from one raw draw by the inverse CDF on a 52-bit uniform:
+//   u   = [0, 1) from the top mantissa bits
+//   t   = 2u - 1 in [-1, 1), sign of t = side of the distribution
+//   om  = 1 - |t|, exact (both operands are k*2^-51), clamped away from 0
+//   out = -scale * sgn(t) * log(om)
+double LaplaceFromBits(uint64_t x, double scale) {
+  const double u =
+      std::bit_cast<double>((x >> 12) | 0x3FF0000000000000ULL) - 1.0;
+  const double t = (u + u) - 1.0;
+  const double mag =
+      std::bit_cast<double>(std::bit_cast<uint64_t>(t) & 0x7FFFFFFFFFFFFFFFULL);
+  double om = 1.0 - mag;
+  om = om > 0x1.0p-53 ? om : 0x1.0p-53;
+  // -sgn(t): log(om) <= 0, so t >= 0 must flip the sign back to positive.
+  const double sgn = 0.0 > t ? 1.0 : -1.0;
+  return (sgn * scale) * CephesLog(om);
 }
 
 }  // namespace
@@ -128,15 +181,12 @@ void BitGen::LaplaceBatch(std::span<const double> scales,
                           std::span<double> out) {
   IREDUCT_DCHECK(scales.size() == out.size());
   if (out.empty()) return;
-  const simd::LaneStates states = ForkLanes(*this);
-  simd::BatchLaplace(states, scales.data(), out.data(), out.size());
-}
-
-void BitGen::ExponentialBatch(double mean, std::span<double> out) {
-  IREDUCT_DCHECK(mean > 0);
-  if (out.empty()) return;
-  const simd::LaneStates states = ForkLanes(*this);
-  simd::BatchExponential(states, mean, out.data(), out.size());
+  // Four substreams forked in lane order (braced initializers run left to
+  // right): exactly four parent draws, whatever the batch size.
+  BitGen lanes[4] = {Fork(), Fork(), Fork(), Fork()};
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i] = LaplaceFromBits(lanes[i % 4](), scales[i]);
+  }
 }
 
 bool BitGen::Bernoulli(double p) {

@@ -77,19 +77,14 @@ class BitGen {
   /// stream by exactly one draw.
   BitGen Fork();
 
-  /// Fills `out[i] = Laplace(scales[i])` through the vectorized batch
-  /// kernels (common/simd_kernels.h). The batch is drawn from four Fork()
-  /// substreams (lane i % 4), so this stream advances by exactly
-  /// kBatchLanes = 4 draws regardless of the batch size — a *different*
-  /// stream than calling Laplace() per element, but deterministic: the
-  /// output depends only on this generator's state and `scales`, never on
-  /// the SIMD tier, thread count, or machine. Requires
+  /// Fills `out[i] = Laplace(scales[i])` from four Fork() substreams:
+  /// `out[i]` is lane i % 4's (i / 4)-th draw through a fixed Cephes log,
+  /// and this stream advances by exactly 4 draws whatever the batch size.
+  /// A *different* stream than calling Laplace() per element, but
+  /// deterministic: the output depends only on this generator's state and
+  /// `scales`, never on the thread count or machine. Requires
   /// scales.size() == out.size() and every scale > 0.
   void LaplaceBatch(std::span<const double> scales, std::span<double> out);
-
-  /// Batch analogue of Exponential(mean) under the same four-substream
-  /// contract as LaplaceBatch. Requires mean > 0.
-  void ExponentialBatch(double mean, std::span<double> out);
 
  private:
   uint64_t s_[4];

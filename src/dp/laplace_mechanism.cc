@@ -10,7 +10,7 @@ namespace {
 
 // Below this size the per-element sampler is both faster (no substream
 // setup) and keeps the historical draw sequence; at or above it the batch
-// kernels win and the release switches to the four-substream batch stream
+// sampler wins and the release switches to the four-substream batch stream
 // (see BitGen::LaplaceBatch — still deterministic, just a different
 // function of the seed).
 constexpr size_t kBatchThreshold = 16;

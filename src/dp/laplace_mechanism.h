@@ -19,10 +19,10 @@ namespace ireduct {
 
 /// Adds independent Laplace noise to each value; `scales[i]` is the noise
 /// scale for `values[i]`. Sizes must match and scales must be positive.
-/// Batches of >= 16 draw through BitGen::LaplaceBatch (vectorized, four
-/// Fork substreams); smaller batches draw per element. Either way the
-/// output is a deterministic function of (gen state, values, scales) —
-/// identical on every SIMD tier, thread count, and machine.
+/// Batches of >= 16 draw through BitGen::LaplaceBatch (four Fork
+/// substreams); smaller batches draw per element. Either way the output is
+/// a deterministic function of (gen state, values, scales) — identical at
+/// every thread count and on every machine.
 Result<std::vector<double>> AddLaplaceNoise(std::span<const double> values,
                                             std::span<const double> scales,
                                             BitGen& gen);

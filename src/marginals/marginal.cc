@@ -16,8 +16,6 @@ std::string MarginalSpec::Name(const Schema& schema) const {
   return name;
 }
 
-namespace {
-
 Status ValidateSpec(const MarginalSpec& spec, size_t num_attributes) {
   if (spec.attributes.empty()) {
     return Status::InvalidArgument("marginal spec needs >= 1 attribute");
@@ -45,8 +43,6 @@ Result<size_t> CellCount(const std::vector<uint32_t>& domain_sizes) {
   }
   return cells;
 }
-
-}  // namespace
 
 Marginal::Marginal(MarginalSpec spec, std::vector<uint32_t> domain_sizes,
                    std::vector<double> counts)

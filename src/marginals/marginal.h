@@ -22,6 +22,15 @@ struct MarginalSpec {
   std::string Name(const Schema& schema) const;
 };
 
+/// Checks that `spec` names at least one attribute, each distinct and below
+/// `num_attributes`: the rule every marginal path (Marginal::Compute, the
+/// fused evaluator, the query server's admission) applies to a spec.
+Status ValidateSpec(const MarginalSpec& spec, size_t num_attributes);
+
+/// Cells in a table over the given domain sizes; refuses a zero domain and
+/// tables of more than 2^40 cells.
+Result<size_t> CellCount(const std::vector<uint32_t>& domain_sizes);
+
 /// A computed (or noisy) marginal: the spec, the projected domain sizes and
 /// a flat row-major count table.
 class Marginal {

@@ -5,12 +5,11 @@
 #include <chrono>
 #include <memory>
 #include <thread>
-#include <unordered_set>
 
 #include "common/arena.h"
 #include "common/logging.h"
-#include "common/simd_kernels.h"
 #include "data/columnar.h"
+#include "marginals/count_kernel.h"
 #include "obs/metrics.h"
 
 namespace ireduct {
@@ -23,36 +22,6 @@ namespace {
 // 2-way plan size gigabytes of per-shard scratch. Totals are unaffected —
 // striping is a perf mode, not a semantic one.
 constexpr size_t kMaxStripedCells = size_t{1} << 21;
-
-// Mirrors the per-spec validation of Marginal::Compute so the fused path
-// rejects exactly what the per-marginal path rejects.
-Status ValidateSpec(const MarginalSpec& spec, size_t num_attributes) {
-  if (spec.attributes.empty()) {
-    return Status::InvalidArgument("marginal spec needs >= 1 attribute");
-  }
-  std::unordered_set<uint32_t> seen;
-  for (uint32_t a : spec.attributes) {
-    if (a >= num_attributes) {
-      return Status::OutOfRange("attribute index out of range");
-    }
-    if (!seen.insert(a).second) {
-      return Status::InvalidArgument("duplicate attribute in marginal spec");
-    }
-  }
-  return Status::OK();
-}
-
-Result<size_t> CellCount(const std::vector<uint32_t>& domain_sizes) {
-  size_t cells = 1;
-  for (uint32_t ds : domain_sizes) {
-    if (ds == 0) return Status::InvalidArgument("zero domain size");
-    if (cells > (static_cast<size_t>(1) << 40) / ds) {
-      return Status::InvalidArgument("marginal domain too large");
-    }
-    cells *= ds;
-  }
-  return cells;
-}
 
 }  // namespace
 
@@ -130,7 +99,7 @@ void MarginalSetEvaluator::CountColumns(const uint16_t* const* cols,
                                         size_t end, uint32_t* counts) const {
   const size_t nrows = end - begin;
 
-  // Lane scratch for the striped counting kernels, sized for the widest
+  // Lane scratch for the striped counts, sized for the widest
   // striping-eligible plan and reused across plans. Call-local lifetime:
   // the scratch is dead once the plan's merge into `counts` finishes, so
   // Reset-at-entry is safe even when one pool worker runs several shards.
@@ -139,57 +108,37 @@ void MarginalSetEvaluator::CountColumns(const uint16_t* const* cols,
   uint32_t* lane_scratch = nullptr;
   if (max_kernel_cells_ > 0) {
     lane_scratch =
-        scratch_arena.Alloc<uint32_t>(simd::kBatchLanes * max_kernel_cells_);
+        scratch_arena.Alloc<uint32_t>(kCountLanes * max_kernel_cells_);
   }
 
-  // Plan-major: every plan goes through a dispatched counting kernel —
-  // the fixed two-column CountPlan for arities 1/2 (all of the paper's
-  // tasks), CountPlanN for wider marginals. Census data is Zipf-skewed, so
-  // consecutive rows keep hitting the same hot cells and a naive
-  // ++table[cell] serializes on store-to-load forwarding; the kernels
-  // stripe increments across four private tables (and on AVX2 compute the
-  // cell indices 16 rows at a time) and merge in fixed lane order. Counts
-  // are integers, so striping cannot change any total. Striping only pays
-  // when the row range dwarfs a cache-resident table; small shards and
-  // huge tables count directly into `counts`.
+  // Plan-major, one CountCells call per plan (count_kernel.h). Census data
+  // is Zipf-skewed, so consecutive rows keep hitting the same hot cells;
+  // striping the increments over four private tables pays when the row
+  // range dwarfs a cache-resident table. Small shards and huge tables
+  // count directly into `counts`. Counts are integers, so the mode cannot
+  // change any total.
   std::vector<const uint16_t*> plan_cols;
   std::vector<size_t> plan_strides;
   for (const SpecPlan& plan : plans_) {
-    const size_t arity = plan.terms.size();
-    uint32_t* const table = counts + plan.offset;
+    plan_cols.clear();
+    plan_strides.clear();
+    for (const auto& [col, stride] : plan.terms) {
+      plan_cols.push_back(cols[col]);
+      plan_strides.push_back(stride);
+    }
     const bool striped = nrows >= 4 * plan.cells && plan.cells > 1 &&
                          plan.cells <= kMaxStripedCells;
-    if (arity == 1 || arity == 2) {
-      simd::CountPlanArgs args;
-      args.col0 = cols[plan.terms[0].first];
-      args.col1 = arity == 2 ? cols[plan.terms[1].first] : nullptr;
-      args.row_idx = row_idx;
-      args.begin = begin;
-      args.end = end;
-      args.stride0 = plan.terms[0].second;
-      args.counts = table;
-      args.cells = plan.cells;
-      args.lane_scratch = striped ? lane_scratch : nullptr;
-      simd::CountPlan(args);
-    } else {
-      plan_cols.clear();
-      plan_strides.clear();
-      for (const auto& [col, stride] : plan.terms) {
-        plan_cols.push_back(cols[col]);
-        plan_strides.push_back(stride);
-      }
-      simd::CountPlanNArgs args;
-      args.cols = plan_cols.data();
-      args.strides = plan_strides.data();
-      args.arity = arity;
-      args.row_idx = row_idx;
-      args.begin = begin;
-      args.end = end;
-      args.counts = table;
-      args.cells = plan.cells;
-      args.lane_scratch = striped ? lane_scratch : nullptr;
-      simd::CountPlanN(args);
-    }
+    CountArgs args;
+    args.cols = plan_cols.data();
+    args.strides = plan_strides.data();
+    args.arity = plan.terms.size();
+    args.row_idx = row_idx;
+    args.begin = begin;
+    args.end = end;
+    args.counts = counts + plan.offset;
+    args.cells = plan.cells;
+    args.lane_scratch = striped ? lane_scratch : nullptr;
+    CountCells(args);
   }
 }
 

@@ -98,7 +98,7 @@ class MarginalSetEvaluator {
   size_t num_schema_attributes_ = 0;
   // Largest cell count among striping-eligible plans (any arity, capped so
   // the scratch stays cache-resident); sizes the per-shard lane scratch
-  // for the striped counting kernels.
+  // for the striped counts.
   size_t max_kernel_cells_ = 0;
 };
 

@@ -23,6 +23,29 @@ std::span<const double> BatchWidthBounds() {
   return bounds;
 }
 
+// The most cells one marginals request may ask for over its valid specs.
+// The fused pass holds a 64-bit total per cell of the batch's union (and a
+// 32-bit table per shard), so without a cap one request over every census
+// attribute (31,192,678,400 cells) throws bad_alloc and aborts the server.
+constexpr uint64_t kMaxRequestCells = uint64_t{1} << 24;
+
+// Cells over the specs that pass ValidateSpec and CellCount; the rest are
+// refused per request as before.
+uint64_t RequestCells(const Schema& schema,
+                      const std::vector<MarginalSpec>& specs) {
+  uint64_t total = 0;
+  for (const MarginalSpec& spec : specs) {
+    if (!ValidateSpec(spec, schema.num_attributes()).ok()) continue;
+    std::vector<uint32_t> domain_sizes;
+    for (const uint32_t a : spec.attributes) {
+      domain_sizes.push_back(schema.attribute(a).domain_size);
+    }
+    const Result<size_t> cells = CellCount(domain_sizes);
+    if (cells.ok()) total += *cells;
+  }
+  return total;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<QueryServer>> QueryServer::Create(
@@ -214,6 +237,18 @@ void QueryServer::Admit(const std::string& tenant_name, Request request) {
     return;
   }
   TenantState* tenant = it->second.get();
+  if (request.kind == RequestKind::kMarginals) {
+    const uint64_t cells =
+        RequestCells(tenant->dataset->schema(), request.specs);
+    if (cells > kMaxRequestCells) {
+      lock.unlock();
+      Reject(request, Status::InvalidArgument(
+                          "marginals request asks for " +
+                          std::to_string(cells) + " cells, over the limit of " +
+                          std::to_string(kMaxRequestCells)));
+      return;
+    }
+  }
   const char* shed_reason = nullptr;
   if (queue_.size() >= config_.max_queue) {
     ++stats_.shed_queue_full;

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cerrno>
 #include <charconv>
+#include <chrono>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -432,6 +433,14 @@ Result<std::unique_ptr<WireServer>> WireServer::Start(
       new WireServer(server, std::move(socket_path), fd));
 }
 
+// The reader sets `done` as its last act, after joining its waiters; the
+// accept loop then joins it and closes the fd.
+struct WireServer::Connection {
+  int fd = -1;
+  std::thread thread;
+  std::atomic<bool> done{false};
+};
+
 WireServer::WireServer(QueryServer* server, std::string socket_path,
                        int listen_fd)
     : server_(server),
@@ -458,38 +467,58 @@ void WireServer::Stop() {
   ::shutdown(listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
   // No new connections can appear now; wake every reader.
-  std::vector<int> fds;
-  std::vector<std::thread> threads;
+  std::list<Connection> connections;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    fds = connection_fds_;
-    threads.swap(connection_threads_);
+    connections.swap(connections_);
   }
-  for (const int fd : fds) ::shutdown(fd, SHUT_RDWR);
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
+  for (Connection& c : connections) ::shutdown(c.fd, SHUT_RDWR);
+  for (Connection& c : connections) {
+    if (c.thread.joinable()) c.thread.join();
+    ::close(c.fd);
   }
-  for (const int fd : fds) ::close(fd);
   ::close(listen_fd_);
   ::unlink(socket_path_.c_str());
 }
 
 void WireServer::AcceptLoop() {
   while (true) {
-    const int conn = ::accept(listen_fd_, nullptr, nullptr);
-    std::lock_guard<std::mutex> lock(mu_);
+    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int err = errno;
+    std::unique_lock<std::mutex> lock(mu_);
     if (stopping_) {
-      if (conn >= 0) ::close(conn);
+      if (fd >= 0) ::close(fd);
       return;
     }
-    if (conn < 0) {
-      if (errno == EINTR) continue;
+    ReapConnectionsLocked();
+    if (fd < 0) {
+      if (err == EINTR || err == ECONNABORTED) continue;
+      if (err == EMFILE || err == ENFILE || err == ENOBUFS || err == ENOMEM) {
+        // Out of fds or memory: the reap above may have freed some, and
+        // clients closing theirs free more. The pending connection waits
+        // in the backlog meanwhile.
+        lock.unlock();
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        continue;
+      }
       return;  // listening socket gone
     }
-    connection_fds_.push_back(conn);
+    Connection& conn = connections_.emplace_back();
+    conn.fd = fd;
     ++connections_served_;
-    connection_threads_.emplace_back(
-        [this, conn] { ServeConnection(conn); });
+    conn.thread = std::thread([this, c = &conn] { ServeConnection(c); });
+  }
+}
+
+void WireServer::ReapConnectionsLocked() {
+  for (auto it = connections_.begin(); it != connections_.end();) {
+    if (it->done.load(std::memory_order_acquire)) {
+      it->thread.join();
+      ::close(it->fd);
+      it = connections_.erase(it);
+    } else {
+      ++it;
+    }
   }
 }
 
@@ -501,7 +530,8 @@ struct WireServer::Waiter {
   std::atomic<bool> done{false};
 };
 
-void WireServer::ServeConnection(int fd) {
+void WireServer::ServeConnection(Connection* conn) {
+  const int fd = conn->fd;
   // Shared by the reader (this thread) and the per-request waiters so
   // response lines never interleave.
   std::mutex write_mu;
@@ -521,8 +551,9 @@ void WireServer::ServeConnection(int fd) {
   }
   // Queued requests still resolve (the server answers every admitted
   // request); their writes hit a dead socket and are dropped. The fd and
-  // write_mu outlive every waiter: the fd closes only in Stop().
+  // write_mu outlive every waiter: the fd closes only once `done` is set.
   for (Waiter& waiter : waiters) waiter.thread.join();
+  conn->done.store(true, std::memory_order_release);
 }
 
 void WireServer::HandleLine(std::string_view line, int fd,

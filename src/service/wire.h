@@ -116,8 +116,13 @@ class WireServer {
   /// A thread that writes one queued request's response line (wire.cc).
   struct Waiter;
 
+  /// One accepted connection and its reader thread (wire.cc).
+  struct Connection;
+
   void AcceptLoop();
-  void ServeConnection(int fd);
+  /// Joins finished readers and closes their fds. Caller holds mu_.
+  void ReapConnectionsLocked();
+  void ServeConnection(Connection* conn);
   /// Handles one request line, writing any synchronous response and
   /// spawning waiters for queued ops. `write_mu`/`fd` describe the
   /// connection; waiters are collected into `waiters`.
@@ -130,8 +135,7 @@ class WireServer {
 
   mutable std::mutex mu_;
   bool stopping_ = false;
-  std::vector<int> connection_fds_;
-  std::vector<std::thread> connection_threads_;
+  std::list<Connection> connections_;  // stable addresses for readers
   uint64_t connections_served_ = 0;
 
   std::thread accept_thread_;

@@ -5,6 +5,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -169,6 +170,52 @@ TEST(BitGenTest, ForkAdvancesParentByOneDraw) {
   forked.Fork();
   plain();  // one manual draw
   for (int i = 0; i < 50; ++i) EXPECT_EQ(forked(), plain());
+}
+
+// A batch's outputs are a prefix of any longer batch from the same state:
+// the batch size never changes which variate lands at index i.
+TEST(BitGenTest, LaplaceBatchIsPrefixStableAcrossLengths) {
+  std::vector<double> scales(1001);
+  for (size_t i = 0; i < scales.size(); ++i) {
+    scales[i] = 0.25 + static_cast<double>(i % 7);
+  }
+  std::vector<double> full(scales.size());
+  BitGen(7).LaplaceBatch(scales, full);
+  for (const size_t n : {1ul, 5ul, 64ul, 999ul}) {
+    std::vector<double> part(n);
+    BitGen(7).LaplaceBatch(std::span<const double>(scales).first(n), part);
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(part[i]),
+                std::bit_cast<uint64_t>(full[i]))
+          << "batch of " << n << " diverges at " << i;
+    }
+  }
+}
+
+// The batch forks four substreams, so it advances the parent by exactly
+// four Fork draws whatever its size — the resume/checkpoint contract.
+TEST(BitGenTest, LaplaceBatchAdvancesParentByExactlyFourDraws) {
+  for (const size_t n : {1ul, 5ul, 1000ul}) {
+    BitGen batched(123), manual(123);
+    std::vector<double> scales(n, 2.0), out(n);
+    batched.LaplaceBatch(scales, out);
+    for (int i = 0; i < 4; ++i) manual.Fork();
+    for (int i = 0; i < 16; ++i) {
+      ASSERT_EQ(batched(), manual()) << "after batch of " << n;
+    }
+  }
+}
+
+// The batch stream is distinct from the per-element Laplace stream, but it
+// must still be a Laplace(scale) sample: check the first two moments.
+TEST(BitGenTest, LaplaceBatchMatchesDistributionMoments) {
+  const double scale = 3.0;
+  BitGen gen(2011);
+  std::vector<double> scales(kSamples, scale), sample(kSamples);
+  gen.LaplaceBatch(scales, sample);
+  const SampleSummary s = Summarize(sample);
+  EXPECT_NEAR(s.mean, 0.0, 0.05);
+  EXPECT_NEAR(s.variance, 2 * scale * scale, 0.5);
 }
 
 // LaplaceBatch is pinned, not just self-consistent: every released value a

@@ -3,12 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
 #include "common/random.h"
-#include "common/simd.h"
 #include "common/thread_pool.h"
 #include "data/census_generator.h"
 #include "marginals/marginal_set.h"
@@ -74,36 +72,6 @@ TEST(MarginalEvaluatorTest, FusedMatchesPerMarginalAtEveryThreadCount) {
       ExpectBitIdentical(*fused, reference);
     }
   }
-}
-
-// The SIMD counting kernels must not change a single count: forcing the
-// scalar tier has to reproduce the default dispatch bit for bit at every
-// thread count. (Counts are integers, so this is exact, not approximate.)
-TEST(MarginalEvaluatorTest, ForcedScalarTierMatchesDispatchAtEveryThreadCount) {
-  const Dataset d = RandomDataset(42, 4096);
-  const std::vector<MarginalSpec> specs = OneAndTwoWaySpecs(d.schema());
-  auto evaluator = MarginalSetEvaluator::Create(d.schema(), specs);
-  ASSERT_TRUE(evaluator.ok());
-
-  auto reference = evaluator->Compute(d);
-  ASSERT_TRUE(reference.ok());
-
-  const char* prev = std::getenv("IREDUCT_SIMD");
-  ::setenv("IREDUCT_SIMD", "off", 1);
-  simd::ResetDispatchForTesting();
-  ASSERT_EQ(simd::ActiveTier(), simd::Tier::kScalar);
-  for (const int threads : {1, 2, 8}) {
-    ThreadPool pool(threads);
-    auto scalar = evaluator->Compute(d, {}, threads > 1 ? &pool : nullptr);
-    ASSERT_TRUE(scalar.ok());
-    ExpectBitIdentical(*scalar, *reference);
-  }
-  if (prev != nullptr) {
-    ::setenv("IREDUCT_SIMD", prev, 1);
-  } else {
-    ::unsetenv("IREDUCT_SIMD");
-  }
-  simd::ResetDispatchForTesting();
 }
 
 TEST(MarginalEvaluatorTest, RowSubsetMatchesPerMarginal) {

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "data/census_generator.h"
 #include "marginals/marginal_cache.h"
 #include "marginals/marginal_set.h"
 #include "obs/event_log.h"
@@ -574,6 +575,43 @@ TEST(QueryServerTest, InvalidSpecInBatchFallsBackPerRequest) {
   EXPECT_DOUBLE_EQ(good_budget->spent, good->epsilon_spent + 0.1);
   // The poisoned union never ran a fused pass.
   EXPECT_EQ((*server)->Stats().fused_passes, 0u);
+}
+
+// One request over every census attribute asks for 31,192,678,400 cells,
+// under CellCount's 2^40 cap; the fused pass would try to allocate them
+// all and abort the server. Admission refuses it before queueing and
+// before any charge, and the tenant's next request is answered.
+TEST(QueryServerTest, OversizedMarginalsRequestIsRefusedAtAdmission) {
+  CensusConfig census;
+  census.rows = 2'000;
+  auto d = GenerateCensus(census);
+  ASSERT_TRUE(d.ok());
+  QueryServerConfig config;
+  config.workers = 2;
+  auto server = QueryServer::Create(config);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->AddDataset("census", std::move(*d)).ok());
+  ASSERT_TRUE((*server)->OpenTenant("t", "census", 1.0, 3).ok());
+  MarginalSpec every;
+  for (uint32_t a = 0; a < 9; ++a) every.attributes.push_back(a);
+  auto refused = (*server)->PublishMarginals(
+      "t", {every}, MechanismSpec("dwork"), 0.5, 5.0, 40);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.status().message().find("31192678400"),
+            std::string::npos)
+      << refused.status();
+  EXPECT_NE(refused.status().message().find("16777216"), std::string::npos)
+      << refused.status();
+  EXPECT_EQ((*server)->Stats().admitted, 0u);
+  auto budget = (*server)->GetBudget("t");
+  ASSERT_TRUE(budget.ok());
+  EXPECT_EQ(budget->spent, 0.0);
+
+  auto answered = (*server)->PublishMarginals(
+      "t", {MarginalSpec{{kGender}}}, MechanismSpec("dwork"), 0.5, 5.0, 40);
+  ASSERT_TRUE(answered.ok()) << answered.status();
+  EXPECT_EQ(answered->marginals.size(), 1u);
 }
 
 TEST(QueryServerTest, JournaledTenantsSurviveServerRestart) {

@@ -1,15 +1,27 @@
 #include "service/wire.h"
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/status.h"
+#include "data/census_generator.h"
 #include "obs/json.h"
 
 namespace ireduct {
@@ -469,6 +481,208 @@ TEST(WireServerTest, FinishedWaitersAreJoinedWhileTheConnectionLives) {
     ASSERT_TRUE(response->ok) << response->message;
   }
   EXPECT_LT(MapsLines(), before + 100);
+}
+
+// A raw connection whose reads time out after `timeout_ms`, so a server
+// that stops answering fails a test instead of hanging it. -1 when the
+// socket cannot be made or connected.
+int ConnectWithTimeout(const std::string& socket_path, int timeout_ms) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  const timeval timeout{timeout_ms / 1000, (timeout_ms % 1000) * 1000};
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
+  if (::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)) !=
+          0 ||
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+          0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// Sends one ping on `fd`; true when its pong arrives before the timeout.
+bool Pings(int fd) {
+  WireRequest ping;
+  ping.id = 1;
+  ping.op = "ping";
+  const std::string line = ping.ToJson() + "\n";
+  if (::send(fd, line.data(), line.size(), MSG_NOSIGNAL) !=
+      static_cast<ssize_t>(line.size())) {
+    return false;
+  }
+  std::string got;
+  char chunk[256];
+  while (got.find('\n') == std::string::npos) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) return false;  // timed out or closed
+    got.append(chunk, static_cast<size_t>(n));
+  }
+  auto response = WireResponse::Parse(got.substr(0, got.find('\n')));
+  return response.ok() && response->ok &&
+         response->result_json == R"({"pong":true})";
+}
+
+size_t OpenFds() {
+  return static_cast<size_t>(
+      std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
+                    std::filesystem::directory_iterator{}));
+}
+
+// Every `ireduct_tool client` call is one connection. A finished
+// connection's fd is closed and its reader joined while the server runs,
+// so a stream of short connections does not grow the process.
+TEST(WireServerTest, FinishedConnectionsAreClosedWhileTheServerRuns) {
+  auto server = QueryServer::Create(QueryServerConfig{});
+  ASSERT_TRUE(server.ok());
+  const std::string socket_path = UniqueSocketPath("conns");
+  auto wire = WireServer::Start(server->get(), socket_path);
+  ASSERT_TRUE(wire.ok()) << wire.status();
+  const size_t before = OpenFds();
+  for (int i = 0; i < 1000; ++i) {
+    const int fd = ConnectWithTimeout(socket_path, 5000);
+    ASSERT_GE(fd, 0) << "connection " << i << ": " << std::strerror(errno);
+    const bool ponged = Pings(fd);
+    ::close(fd);
+    ASSERT_TRUE(ponged) << "connection " << i;
+  }
+  EXPECT_LT(OpenFds(), before + 20);
+  EXPECT_EQ((*wire)->connections_served(), 1000u);
+}
+
+// Serves on `socket_path` with at most 64 fds until `stop_fd` reads EOF.
+// Runs in a forked child; returns its exit code.
+int ServeWithFewFds(const std::string& socket_path, int stop_fd) {
+  rlimit limit{};
+  if (::getrlimit(RLIMIT_NOFILE, &limit) != 0) return 10;
+  limit.rlim_cur = 64;
+  if (::setrlimit(RLIMIT_NOFILE, &limit) != 0) return 11;
+  auto server = QueryServer::Create(QueryServerConfig{});
+  if (!server.ok()) return 12;
+  auto wire = WireServer::Start(server->get(), socket_path);
+  if (!wire.ok()) return 13;
+  char byte;
+  while (::read(stop_fd, &byte, 1) < 0 && errno == EINTR) {
+  }
+  return 0;
+}
+
+// Out of fds, accept fails with EMFILE. The server reaps what it can and
+// retries instead of leaving its accept loop for good. The server runs in
+// a child limited to 64 fds; this process holds connections until one
+// goes unanswered, closes them all, and a new connection must get its
+// pong.
+TEST(WireServerTest, KeepsAcceptingAfterRunningOutOfFds) {
+#if defined(__SANITIZE_ADDRESS__)
+  // UBSan's vptr check probes memory through a pipe; in a process with no
+  // free fd the probe fails and it reports the reader's std::thread as an
+  // invalid object.
+  GTEST_SKIP() << "the sanitizer runtime needs free fds of its own";
+#endif
+  const std::string socket_path = UniqueSocketPath("emfile");
+  int stop[2];
+  ASSERT_EQ(::pipe(stop), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::close(stop[1]);
+    ::_exit(ServeWithFewFds(socket_path, stop[0]));
+  }
+  ::close(stop[0]);
+  // However the test ends: EOF on the pipe stops the child, which gets 30 s
+  // to exit before it is killed.
+  struct StopChild {
+    pid_t pid;
+    int stop_fd;
+    ~StopChild() {
+      ::close(stop_fd);
+      int status = 0;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (::waitpid(pid, &status, WNOHANG) == 0) {
+        if (std::chrono::steady_clock::now() > deadline) {
+          ::kill(pid, SIGKILL);
+          ::waitpid(pid, &status, 0);
+          ADD_FAILURE() << "server child did not stop";
+          return;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+      EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+          << "server child status " << status;
+    }
+  } stop_child{pid, stop[1]};
+
+  int fd = -1;
+  for (int attempt = 0; attempt < 1000 && fd < 0; ++attempt) {
+    fd = ConnectWithTimeout(socket_path, 2000);
+    if (fd < 0) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_GE(fd, 0) << "the server child never listened";
+  std::vector<int> held{fd};
+  bool unanswered = !Pings(fd);
+  while (!unanswered && held.size() < 200) {
+    fd = ConnectWithTimeout(socket_path, 2000);
+    if (fd < 0) break;
+    held.push_back(fd);
+    unanswered = !Pings(fd);
+  }
+  for (const int h : held) ::close(h);
+  ASSERT_TRUE(unanswered) << "the server never ran out of fds";
+  ASSERT_GT(held.size(), 1u) << "the server never answered";
+
+  const int fresh = ConnectWithTimeout(socket_path, 5000);
+  ASSERT_GE(fresh, 0) << std::strerror(errno);
+  EXPECT_TRUE(Pings(fresh)) << "no pong after the held connections closed";
+  ::close(fresh);
+}
+
+// The oversized-request refusal reaches wire clients as a plain error:
+// nothing charged, and the connection and tenant keep working.
+TEST(WireServerTest, OversizedMarginalsRequestIsRefused) {
+  CensusConfig census;
+  census.rows = 2'000;
+  auto d = GenerateCensus(census);
+  ASSERT_TRUE(d.ok());
+  QueryServerConfig config;
+  config.workers = 2;
+  auto server = QueryServer::Create(config);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->AddDataset("census", std::move(*d)).ok());
+  ASSERT_TRUE((*server)->OpenTenant("t", "census", 1.0, 5).ok());
+  const std::string socket_path = UniqueSocketPath("cells");
+  auto wire = WireServer::Start(server->get(), socket_path);
+  ASSERT_TRUE(wire.ok()) << wire.status();
+  auto client = WireClient::Connect(socket_path);
+  ASSERT_TRUE(client.ok()) << client.status();
+
+  WireRequest marginals;
+  marginals.id = 1;
+  marginals.op = "marginals";
+  marginals.tenant = "t";
+  marginals.specs = {MarginalSpec{{0, 1, 2, 3, 4, 5, 6, 7, 8}}};
+  marginals.mechanism = "dwork";
+  marginals.epsilon = 0.5;
+  marginals.delta = 5.0;
+  marginals.lambda_steps = 40;
+  auto refused = client->Call(marginals);
+  ASSERT_TRUE(refused.ok()) << refused.status();
+  EXPECT_FALSE(refused->ok);
+  EXPECT_EQ(refused->code,
+            std::string(StatusCodeToString(StatusCode::kInvalidArgument)));
+  EXPECT_NE(refused->message.find("31192678400"), std::string::npos)
+      << refused->message;
+  auto budget = (*server)->GetBudget("t");
+  ASSERT_TRUE(budget.ok());
+  EXPECT_EQ(budget->spent, 0.0);
+
+  marginals.id = 2;
+  marginals.specs = {MarginalSpec{{kGender}}};
+  auto answered = client->Call(marginals);
+  ASSERT_TRUE(answered.ok()) << answered.status();
+  EXPECT_TRUE(answered->ok) << answered->message;
 }
 
 TEST(WireServerTest, StartValidatesArguments) {

@@ -8,13 +8,11 @@
 #                             # seed reference loop (tests/support) and
 #                             # that the incremental fast path actually
 #                             # engaged (see docs/PERFORMANCE.md),
-#                             # plus the SIMD kernel micro benches — on AVX2
-#                             # hardware the dispatched batch-Laplace kernel
-#                             # must beat the pinned scalar reference, and
-#                             # the counting kernel the per-marginal
-#                             # reference loop, by >= 2x (KERNEL_MIN_SPEEDUP);
-#                             # and on any host one NoiseDownGroup move must
-#                             # beat the per-cell NoiseDown loop by >= 1.5x,
+#                             # plus the kernel micro benches, gated on
+#                             # every host: the counting kernel must beat
+#                             # the per-marginal reference loop by >= 2x
+#                             # (KERNEL_MIN_SPEEDUP), one NoiseDownGroup
+#                             # move the per-cell NoiseDown loop by >= 1.5x,
 #                             # and EvaluateQuery's column kernel the
 #                             # row-loop oracle (tests/support) by >= 5x
 #   tools/check.sh registry   # Mechanism-registry smoke: builds ireduct_tool,
@@ -389,39 +387,23 @@ if [ "$mode" = perf ]; then
   (cd build/bench &&
    SCALING_IREDUCT_ONLY=1 SCALING_M=100,1000 NAIVE_MAX_M=1000 \
      ./scaling_study)
-  # Micro bench pairs, each a fast path vs its bit-identical reference:
-  #   * the dispatched batch-Laplace kernel vs its pinned scalar reference,
-  #     and the dispatched counting kernel vs the per-marginal reference
-  #     loop (Marginal::Compute). Their >= 2x gate (KERNEL_MIN_SPEEDUP)
-  #     only applies on AVX2 hardware with dispatch unrestricted —
-  #     elsewhere the kernels fall back toward the references and the pair
-  #     is informational.
+  # Micro bench pairs, each a fast path vs its bit-identical reference.
+  # All three are plain C++ with no per-CPU variant, so each floor
+  # applies on every host:
+  #   * the counting kernel (CountCells) vs the per-marginal reference
+  #     loop (Marginal::Compute): >= 2x (KERNEL_MIN_SPEEDUP).
   #   * one iReduct group move at the paper bench's operating point through
-  #     NoiseDownGroup vs the per-cell NoiseDown loop: plain scalar code, so
-  #     its fixed >= 1.5x floor applies on every host.
+  #     NoiseDownGroup vs the per-cell NoiseDown loop: >= 1.5x.
   #   * one conjunctive count (Gender = 1, 400k census rows) through
-  #     EvaluateQuery's column kernel vs the row-loop oracle: plain C++
-  #     the compiler vectorizes at the baseline target, so its fixed >= 5x
-  #     floor applies on every host.
+  #     EvaluateQuery's column kernel vs the row-loop oracle: >= 5x.
   (cd build/bench &&
    ./micro_primitives \
-     --benchmark_filter='BM_BatchLaplace|BM_CountPlan|BM_NoiseDown(Group|PerCell)$|BM_CountQuery' \
+     --benchmark_filter='BM_CountPlan(Kernel|ReferenceLoop)$|BM_NoiseDown(Group|PerCell)$|BM_CountQuery' \
      --benchmark_out=BENCH_KERNELS.json --benchmark_out_format=json)
-  simd_gate=0
-  if grep -q avx2 /proc/cpuinfo 2>/dev/null &&
-     [ -z "${IREDUCT_SIMD:-}" ]; then
-    simd_gate=1
-  else
-    echo "perf: no AVX2 (or IREDUCT_SIMD set) — SIMD kernel gate skipped"
-  fi
-  awk -v kernel_min="${KERNEL_MIN_SPEEDUP:-2}" -v simd_gate="$simd_gate" '
+  awk -v kernel_min="${KERNEL_MIN_SPEEDUP:-2}" '
     BEGIN {
-      if (simd_gate) {
-        pair["BM_BatchLaplaceKernel/65536"] = "BM_BatchLaplaceScalarRef/65536"
-        min_speedup["BM_BatchLaplaceKernel/65536"] = kernel_min
-        pair["BM_CountPlanKernel"] = "BM_CountPlanReferenceLoop"
-        min_speedup["BM_CountPlanKernel"] = kernel_min
-      }
+      pair["BM_CountPlanKernel"] = "BM_CountPlanReferenceLoop"
+      min_speedup["BM_CountPlanKernel"] = kernel_min
       pair["BM_NoiseDownGroup"] = "BM_NoiseDownPerCell"
       min_speedup["BM_NoiseDownGroup"] = 1.5
       pair["BM_CountQuery"] = "BM_CountQueryRowLoop"
