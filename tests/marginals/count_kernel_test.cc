@@ -12,9 +12,9 @@
 namespace ireduct {
 namespace {
 
-// One row of the table: a marginal shape and the row range to count. Every
-// row runs CountCells both striped and direct and must match the row-loop
-// oracle (tests/support/count_reference.h) exactly.
+// A marginal shape and the row range to count. Every case runs CountCells
+// both striped and direct and must match the row-loop oracle
+// (tests/support/count_reference.h) exactly.
 struct CountCase {
   const char* name;
   std::vector<size_t> domains;
@@ -25,16 +25,10 @@ struct CountCase {
   uint32_t prefill;       // counts already in the table, to be added to
 };
 
+// MatchesRowLoopOracleOnEveryRow's cases: an arity-5 subset and the index
+// width edges. The smaller shapes are the named tests below it.
 const CountCase kCases[] = {
-    {"arity1_offset_range_added_into", {13}, 4'096, false, 17, 5, 7},
-    {"arity2", {13, 9}, 10'000, false, 0, 0, 0},
-    {"arity2_odd_rows", {13, 9}, 10'000, true, 0, 0, 0},
-    {"arity3", {5, 3, 7}, 10'000, false, 0, 0, 0},
-    {"arity3_odd_rows", {6, 4, 5}, 8'000, true, 0, 0, 0},
-    {"arity3_offset_range_added_into", {3, 3, 3}, 4'096, false, 13, 96, 5},
-    {"arity4", {4, 2, 3, 5}, 10'000, false, 0, 0, 0},
     {"arity5_odd_rows_offset", {3, 2, 4, 2, 3}, 9'001, true, 3, 50, 2},
-    {"arity6", {2, 2, 2, 3, 3, 2}, 10'000, false, 0, 0, 0},
     // The widest 16-bit table, its largest index 65,535 reachable.
     {"cells_65536", {256, 256}, 4 * 65'536 + 300, false, 5, 0, 1},
     {"cells_65536_odd_rows", {256, 256}, 8 * 65'536 + 3, true, 1, 2, 0},
@@ -91,29 +85,65 @@ struct Columns {
   }
 };
 
+void ExpectMatchesRowLoop(const CountCase& c) {
+  SCOPED_TRACE(c.name);
+  const Columns f(c);
+  std::vector<uint32_t> want, direct, striped;
+  const CountArgs ref = f.Args(c, want);
+  CountCellsRowLoop(ref);
+
+  CountCells(f.Args(c, direct));
+  EXPECT_EQ(direct, want) << "direct";
+
+  // Scratch that is not zeroed: the kernel must clear it.
+  std::vector<uint32_t> scratch(kCountLanes * f.cells, 0xdeadbeef);
+  CountArgs args = f.Args(c, striped);
+  args.lane_scratch = scratch.data();
+  CountCells(args);
+  EXPECT_EQ(striped, want) << "striped";
+
+  uint64_t total = 0;
+  for (size_t i = 0; i < f.cells; ++i) total += want[i];
+  EXPECT_EQ(total, (ref.end - ref.begin) + uint64_t{c.prefill} * f.cells);
+  EXPECT_EQ(want.back(), c.prefill) << "guard cell";
+}
+
 TEST(CountKernelTest, MatchesRowLoopOracleOnEveryRow) {
-  for (const CountCase& c : kCases) {
-    SCOPED_TRACE(c.name);
-    const Columns f(c);
-    std::vector<uint32_t> want, direct, striped;
-    const CountArgs ref = f.Args(c, want);
-    CountCellsRowLoop(ref);
+  for (const CountCase& c : kCases) ExpectMatchesRowLoop(c);
+}
 
-    CountCells(f.Args(c, direct));
-    EXPECT_EQ(direct, want) << "direct";
+// These keep the names they had when the counts ran through CountPlan
+// (arities 1 and 2) and CountPlanN (every arity), tiered kernels that
+// CountCells replaced; each now checks its cases through
+// ExpectMatchesRowLoop.
 
-    // Scratch that is not zeroed: the kernel must clear it.
-    std::vector<uint32_t> scratch(kCountLanes * f.cells, 0xdeadbeef);
-    CountArgs args = f.Args(c, striped);
-    args.lane_scratch = scratch.data();
-    CountCells(args);
-    EXPECT_EQ(striped, want) << "striped";
+TEST(SimdKernelsTest, CountPlanStripedMatchesDirectArity2) {
+  ExpectMatchesRowLoop({"arity2", {13, 9}, 10'000, false, 0, 0, 0});
+}
 
-    uint64_t total = 0;
-    for (size_t i = 0; i < f.cells; ++i) total += want[i];
-    EXPECT_EQ(total, (ref.end - ref.begin) + uint64_t{c.prefill} * f.cells);
-    EXPECT_EQ(want.back(), c.prefill) << "guard cell";
-  }
+TEST(SimdKernelsTest, CountPlanMatchesOnRowSubsets) {
+  ExpectMatchesRowLoop({"arity2_odd_rows", {13, 9}, 10'000, true, 0, 0, 0});
+}
+
+TEST(SimdKernelsTest, CountPlanArity1AndAccumulateSemantics) {
+  ExpectMatchesRowLoop(
+      {"arity1_offset_range_added_into", {13}, 4'096, false, 17, 5, 7});
+}
+
+TEST(SimdKernelsTest, CountPlanNMatchesScalarRefAcrossArities) {
+  ExpectMatchesRowLoop({"arity3", {5, 3, 7}, 10'000, false, 0, 0, 0});
+  ExpectMatchesRowLoop({"arity4", {4, 2, 3, 5}, 10'000, false, 0, 0, 0});
+  ExpectMatchesRowLoop(
+      {"arity6", {2, 2, 2, 3, 3, 2}, 10'000, false, 0, 0, 0});
+}
+
+TEST(SimdKernelsTest, CountPlanNMatchesOnRowSubsets) {
+  ExpectMatchesRowLoop({"arity3_odd_rows", {6, 4, 5}, 8'000, true, 0, 0, 0});
+}
+
+TEST(SimdKernelsTest, CountPlanNAccumulatesAndHonorsRanges) {
+  ExpectMatchesRowLoop(
+      {"arity3_offset_range_added_into", {3, 3, 3}, 4'096, false, 13, 96, 5});
 }
 
 }  // namespace
