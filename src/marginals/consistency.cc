@@ -13,17 +13,8 @@ namespace {
 // requirement) and strictly smaller.
 bool IsStrictSubsequence(const MarginalSpec& inner,
                          const MarginalSpec& outer) {
-  if (inner.attributes.size() >= outer.attributes.size()) return false;
-  size_t cursor = 0;
-  for (uint32_t attr : inner.attributes) {
-    while (cursor < outer.attributes.size() &&
-           outer.attributes[cursor] != attr) {
-      ++cursor;
-    }
-    if (cursor == outer.attributes.size()) return false;
-    ++cursor;
-  }
-  return true;
+  return inner.attributes.size() < outer.attributes.size() &&
+         IsSubsequence(inner.attributes, outer.attributes);
 }
 
 struct SubsetPair {

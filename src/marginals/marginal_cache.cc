@@ -1,8 +1,11 @@
 #include "marginals/marginal_cache.h"
 
-#include <cstdlib>
+#include <algorithm>
+#include <cstdint>
 
+#include "common/env.h"
 #include "marginals/marginal_evaluator.h"
+#include "marginals/postprocess.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 
@@ -18,10 +21,9 @@ size_t EstimateMarginalBytes(const Marginal& marginal) {
 MarginalCache& MarginalCache::Global() {
   static MarginalCache* cache = [] {
     auto* c = new MarginalCache();
-    if (const char* env = std::getenv("IREDUCT_CACHE_BYTES");
-        env != nullptr && *env != '\0') {
-      c->set_byte_budget(std::strtoull(env, nullptr, 10));
-    }
+    // An exact decimal > 0; anything else leaves the budget unlimited.
+    c->set_byte_budget(
+        static_cast<size_t>(EnvInt64("IREDUCT_CACHE_BYTES", 0)));
     return c;
   }();
   return *cache;
@@ -61,8 +63,19 @@ Result<std::vector<Marginal>> MarginalCache::GetOrCompute(
 Result<std::vector<Marginal>> MarginalCache::GetOrCompute(
     uint64_t fingerprint, const Dataset& dataset,
     std::span<const MarginalSpec> specs, ThreadPool* pool) {
+  // Refuse an invalid spec before any lookup: the empty spec is a
+  // subsequence of every table, so a projection could otherwise answer it.
+  const Schema& schema = dataset.schema();
+  for (const MarginalSpec& spec : specs) {
+    IREDUCT_RETURN_NOT_OK(ValidateSpec(spec, schema.num_attributes()));
+  }
+  // A projection visits every cell of its source and a pass every row, so
+  // a source may hold at most as many cells as the dataset has rows.
+  const size_t max_source_cells = dataset.num_rows();
+
+  // found[i] answers spec i; source[i] is a cached superset to project.
   std::vector<std::shared_ptr<const Marginal>> found(specs.size());
-  std::vector<MarginalSpec> missing;
+  std::vector<std::shared_ptr<const Marginal>> source(specs.size());
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (size_t i = 0; i < specs.size(); ++i) {
@@ -71,30 +84,97 @@ Result<std::vector<Marginal>> MarginalCache::GetOrCompute(
       if (it != entries_.end()) {
         found[i] = it->second.table;
         TouchLocked(&it->second);
+        continue;
+      }
+      Entry* best = nullptr;
+      for (auto e = entries_.lower_bound(Key{fingerprint, {}});
+           e != entries_.end() && e->first.first == fingerprint; ++e) {
+        const size_t cells = e->second.table->num_cells();
+        if (cells <= max_source_cells &&
+            (best == nullptr || cells < best->table->num_cells()) &&
+            IsSubsequence(specs[i].attributes, e->first.second)) {
+          best = &e->second;
+        }
+      }
+      if (best != nullptr) {
+        source[i] = best->table;
+        TouchLocked(best);
       }
     }
   }
+  // Projections of cached tables are not inserted: their sources rebuild
+  // them in O(cells), and under a budget each copy would evict a table
+  // that serves several specs.
+  size_t projected = 0;
+  std::vector<size_t> missing;
+  std::vector<size_t> cells(specs.size(), 0);
   for (size_t i = 0; i < specs.size(); ++i) {
-    if (found[i] == nullptr) missing.push_back(specs[i]);
+    if (source[i] != nullptr) {
+      IREDUCT_ASSIGN_OR_RETURN(
+          Marginal table, ProjectMarginal(*source[i], specs[i].attributes));
+      found[i] = std::make_shared<const Marginal>(std::move(table));
+      ++projected;
+    } else if (found[i] == nullptr) {
+      missing.push_back(i);
+      std::vector<uint32_t> domains;
+      for (const uint32_t a : specs[i].attributes) {
+        domains.push_back(schema.attribute(a).domain_size);
+      }
+      const Result<size_t> count = CellCount(domains);
+      cells[i] = count.ok() ? *count : SIZE_MAX;
+    }
+  }
+  // The pass counts every miss that no larger miss contains; the rest are
+  // projected from the counted tables afterwards.
+  const auto contains = [&](size_t outer, size_t inner) {
+    return specs[outer].attributes.size() > specs[inner].attributes.size() &&
+           cells[outer] <= max_source_cells &&
+           IsSubsequence(specs[inner].attributes, specs[outer].attributes);
+  };
+  std::vector<MarginalSpec> plans;
+  std::vector<size_t> counted;
+  std::vector<size_t> derived;
+  for (const size_t i : missing) {
+    if (std::any_of(missing.begin(), missing.end(),
+                    [&](size_t j) { return contains(j, i); })) {
+      derived.push_back(i);
+    } else {
+      plans.push_back(specs[i]);
+      counted.push_back(i);
+    }
   }
   IREDUCT_METRIC_COUNT("marginals.cache_hits", specs.size() - missing.size());
   IREDUCT_METRIC_COUNT("marginals.cache_misses", missing.size());
+  IREDUCT_METRIC_COUNT("marginals.projected", projected + derived.size());
 
   if (!missing.empty()) {
     // Compute outside the lock: a concurrent miss on the same key at worst
     // duplicates work, and both computations insert identical tables.
     IREDUCT_ASSIGN_OR_RETURN(
         MarginalSetEvaluator evaluator,
-        MarginalSetEvaluator::Create(dataset.schema(), std::move(missing)));
+        MarginalSetEvaluator::Create(schema, std::move(plans)));
     IREDUCT_ASSIGN_OR_RETURN(std::vector<Marginal> computed,
                              evaluator.Compute(dataset, {}, pool));
+    for (size_t c = 0; c < counted.size(); ++c) {
+      found[counted[c]] = std::make_shared<const Marginal>(
+          std::move(computed[c]));
+    }
+    // A chain of containing misses ends in a counted one, so every derived
+    // spec has a counted source.
+    for (const size_t i : derived) {
+      size_t best = SIZE_MAX;
+      for (const size_t j : counted) {
+        if (contains(j, i) && (best == SIZE_MAX || cells[j] < cells[best])) {
+          best = j;
+        }
+      }
+      IREDUCT_ASSIGN_OR_RETURN(
+          Marginal table, ProjectMarginal(*found[best], specs[i].attributes));
+      found[i] = std::make_shared<const Marginal>(std::move(table));
+    }
     std::lock_guard<std::mutex> lock(mu_);
-    size_t c = 0;
-    for (size_t i = 0; i < specs.size(); ++i) {
-      if (found[i] != nullptr) continue;
+    for (const size_t i : missing) {
       Key key{fingerprint, specs[i].attributes};
-      auto entry = std::make_shared<const Marginal>(std::move(computed[c++]));
-      found[i] = entry;
       const auto it = entries_.find(key);
       if (it != entries_.end()) {
         // A concurrent computation won the race; keep its entry.
@@ -102,10 +182,10 @@ Result<std::vector<Marginal>> MarginalCache::GetOrCompute(
         continue;
       }
       lru_.push_front(key);
-      const size_t entry_bytes = EstimateMarginalBytes(*entry);
+      const size_t entry_bytes = EstimateMarginalBytes(*found[i]);
       bytes_ += entry_bytes;
       entries_.emplace(std::move(key),
-                       Entry{std::move(entry), entry_bytes, lru_.begin()});
+                       Entry{found[i], entry_bytes, lru_.begin()});
     }
     // Evict only after the whole batch is in, so one request's specs never
     // evict each other before the caller has its copies (found[] keeps the

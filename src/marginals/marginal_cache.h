@@ -7,11 +7,21 @@
 // tables for a given dataset are derived once per process and every later
 // request is a copy.
 //
-// Missing specs of one request are computed together in a single fused
-// MarginalSetEvaluator pass (optionally sharded on a ThreadPool), so even
-// the cold path beats a per-marginal scan loop. Cached tables are
-// bit-identical to Marginal::Compute: the fused pass has an exact parity
-// guarantee, and the cache only ever stores what that pass produced.
+// A spec that is not cached is answered, in order of preference, by
+// projecting (summing out) the smallest cached table of the same dataset
+// whose attribute list contains it as a subsequence, or by one fused
+// MarginalSetEvaluator pass (optionally sharded on a ThreadPool) over the
+// call's remaining misses. That pass skips every miss that a larger miss
+// contains and projects it from the counted table afterwards (the
+// data-cube lattice). A projection source has at most as many cells as
+// the dataset has rows, so it never costs more than the scan it replaces.
+//
+// Every returned table is bit-identical to Marginal::Compute: the fused
+// pass has an exact parity guarantee, and true counts are integers below
+// 2^53, so summing them in any order gives exactly the scanned doubles.
+// The cache stores what a pass produced, counted or projected; a
+// projection of a cached table is not stored, since its source rebuilds
+// it in O(cells).
 #ifndef IREDUCT_MARGINALS_MARGINAL_CACHE_H_
 #define IREDUCT_MARGINALS_MARGINAL_CACHE_H_
 
@@ -40,15 +50,19 @@ namespace ireduct {
 class MarginalCache {
  public:
   /// The shared process-wide instance the benches use. Its byte budget is
-  /// read once from the IREDUCT_CACHE_BYTES environment variable (bytes;
-  /// unset, empty or 0 means unlimited).
+  /// read once from the IREDUCT_CACHE_BYTES environment variable: an exact
+  /// decimal number of bytes > 0; unset, empty, 0 or anything that does
+  /// not parse exactly means unlimited.
   static MarginalCache& Global();
 
   /// Returns the marginals for `specs` over `dataset`, in spec order —
-  /// cached copies where available, otherwise computed in one fused pass
-  /// (sharded on `pool` when non-null) and cached. Fingerprints the
-  /// dataset internally; prefer the explicit-fingerprint overload when
-  /// calling repeatedly for one dataset.
+  /// cached copies or projections of cached tables where available,
+  /// otherwise computed in one fused pass (sharded on `pool` when
+  /// non-null) and cached. Every spec is validated first, so an invalid
+  /// one fails with Marginal::Compute's status before anything is looked
+  /// up or cached. Fingerprints the dataset internally; prefer the
+  /// explicit-fingerprint overload when calling repeatedly for one
+  /// dataset.
   Result<std::vector<Marginal>> GetOrCompute(
       const Dataset& dataset, std::span<const MarginalSpec> specs,
       ThreadPool* pool = nullptr);

@@ -167,6 +167,7 @@ Result<std::vector<Marginal>> MarginalSetEvaluator::Compute(
 
   IREDUCT_SCOPED_TIMER(fused_timer, "marginals.fused_seconds");
   IREDUCT_METRIC_COUNT("marginals.fused_passes", 1);
+  IREDUCT_METRIC_COUNT("marginals.fused_plans", plans_.size());
   IREDUCT_METRIC_COUNT("marginals.fused_rows", n);
   const auto pass_start = std::chrono::steady_clock::now();
 

@@ -34,6 +34,15 @@ Marginal RoundCounts(const Marginal& marginal) {
   return WithCounts(marginal, std::move(counts));
 }
 
+bool IsSubsequence(std::span<const uint32_t> sub,
+                   std::span<const uint32_t> super) {
+  size_t matched = 0;
+  for (const uint32_t attr : super) {
+    if (matched < sub.size() && sub[matched] == attr) ++matched;
+  }
+  return matched == sub.size();
+}
+
 namespace {
 
 // Positions (indices into fine.spec().attributes) of the coarse attributes
@@ -56,10 +65,44 @@ Result<std::vector<size_t>> SubsequencePositions(const MarginalSpec& fine,
   return positions;
 }
 
+// Calls visit(cell, coarse_cell) for every cell of `fine` in cell order,
+// where coarse_cell is the cell's index in the projection onto the fine
+// attributes at `positions`. An odometer over the fine coordinates keeps
+// the coarse index current, so no cell is decoded from scratch.
+template <typename Visit>
+void ForEachCoarseCell(const Marginal& fine,
+                       const std::vector<size_t>& positions, Visit visit) {
+  const std::vector<uint32_t>& domains = fine.domain_sizes();
+  // Coarse stride of each fine attribute; 0 for the summed-out ones.
+  std::vector<size_t> steps(domains.size(), 0);
+  size_t stride = 1;
+  for (size_t k = positions.size(); k-- > 0;) {
+    steps[positions[k]] = stride;
+    stride *= domains[positions[k]];
+  }
+  std::vector<uint32_t> coords(domains.size(), 0);
+  size_t coarse_cell = 0;
+  for (size_t cell = 0; cell < fine.num_cells(); ++cell) {
+    visit(cell, coarse_cell);
+    // Row-major: the last attribute varies fastest.
+    for (size_t p = domains.size(); p-- > 0;) {
+      if (++coords[p] < domains[p]) {
+        coarse_cell += steps[p];
+        break;
+      }
+      coords[p] = 0;
+      coarse_cell -= steps[p] * (domains[p] - 1);
+    }
+  }
+}
+
 }  // namespace
 
 Result<Marginal> ProjectMarginal(const Marginal& marginal,
                                  std::span<const uint32_t> keep) {
+  if (keep.empty()) {
+    return Status::InvalidArgument("projection needs >= 1 attribute");
+  }
   MarginalSpec coarse_spec;
   coarse_spec.attributes.assign(keep.begin(), keep.end());
   IREDUCT_ASSIGN_OR_RETURN(
@@ -67,31 +110,17 @@ Result<Marginal> ProjectMarginal(const Marginal& marginal,
       SubsequencePositions(marginal.spec(), coarse_spec));
 
   std::vector<uint32_t> coarse_domains;
+  size_t cells = 1;
   for (size_t p : positions) {
     coarse_domains.push_back(marginal.domain_sizes()[p]);
+    cells *= coarse_domains.back();
   }
-  IREDUCT_ASSIGN_OR_RETURN(
-      Marginal coarse,
-      Marginal::FromCounts(coarse_spec, coarse_domains,
-                           std::vector<double>(
-                               [&] {
-                                 size_t cells = 1;
-                                 for (uint32_t d : coarse_domains) cells *= d;
-                                 return cells;
-                               }(),
-                               0.0)));
-
-  std::vector<double> counts(coarse.num_cells(), 0.0);
-  std::vector<uint16_t> coarse_coords(positions.size());
-  for (size_t cell = 0; cell < marginal.num_cells(); ++cell) {
-    const std::vector<uint16_t> coords = marginal.CellCoordinates(cell);
-    for (size_t i = 0; i < positions.size(); ++i) {
-      coarse_coords[i] = coords[positions[i]];
-    }
-    counts[coarse.CellIndex(coarse_coords)] += marginal.count(cell);
-  }
-  return Marginal::FromCounts(coarse_spec, std::move(coarse_domains),
-                              std::move(counts));
+  std::vector<double> counts(cells, 0.0);
+  ForEachCoarseCell(marginal, positions, [&](size_t cell, size_t coarse) {
+    counts[coarse] += marginal.count(cell);
+  });
+  return Marginal::FromCounts(std::move(coarse_spec),
+                              std::move(coarse_domains), std::move(counts));
 }
 
 double MeanTotal(std::span<const Marginal> marginals) {
@@ -129,17 +158,11 @@ Result<Marginal> FitProjection(const Marginal& fine, const Marginal& coarse) {
   std::vector<double> projected(coarse_cells, 0.0);
   std::vector<double> group_size(coarse_cells, 0.0);
   std::vector<size_t> coarse_of(fine.num_cells());
-  std::vector<uint16_t> coarse_coords(positions.size());
-  for (size_t cell = 0; cell < fine.num_cells(); ++cell) {
-    const std::vector<uint16_t> coords = fine.CellCoordinates(cell);
-    for (size_t i = 0; i < positions.size(); ++i) {
-      coarse_coords[i] = coords[positions[i]];
-    }
-    const size_t cc = coarse.CellIndex(coarse_coords);
+  ForEachCoarseCell(fine, positions, [&](size_t cell, size_t cc) {
     coarse_of[cell] = cc;
     projected[cc] += fine.count(cell);
     group_size[cc] += 1.0;
-  }
+  });
 
   std::vector<double> counts(fine.counts().begin(), fine.counts().end());
   for (size_t cell = 0; cell < counts.size(); ++cell) {

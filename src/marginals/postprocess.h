@@ -14,6 +14,7 @@
 #ifndef IREDUCT_MARGINALS_POSTPROCESS_H_
 #define IREDUCT_MARGINALS_POSTPROCESS_H_
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -29,9 +30,16 @@ Marginal ClampNonNegative(const Marginal& marginal);
 /// integer (ties away from zero).
 Marginal RoundCounts(const Marginal& marginal);
 
+/// True when `sub` is a subsequence of `super`: the attribute lists a
+/// table over `super` can be projected onto.
+bool IsSubsequence(std::span<const uint32_t> sub,
+                   std::span<const uint32_t> super);
+
 /// Projects `marginal` onto `keep` (a subsequence of its attributes),
-/// summing out the rest. `keep` must be non-empty and listed in the same
-/// order as in the marginal's spec.
+/// summing out the rest. `keep` must be non-empty (an empty one is
+/// refused) and listed in the same order as in the marginal's spec. Cells
+/// are added in fine-cell order, so a table of integer counts below 2^53
+/// projects to exactly the counts a direct scan gives.
 Result<Marginal> ProjectMarginal(const Marginal& marginal,
                                  std::span<const uint32_t> keep);
 

@@ -44,12 +44,14 @@ std::string_view MetricHelp(std::string_view name) {
           {"journal.fsync_seconds", "Ledger journal fsync latency"},
           {"journal.recoveries", "Ledger journal recovery scans"},
           {"marginals.cache_evictions", "Marginal cache entries evicted"},
-          {"marginals.cache_hits", "Marginal cache spec hits"},
-          {"marginals.cache_misses", "Marginal cache spec misses"},
+          {"marginals.cache_hits", "Marginal cache specs answered without a pass"},
+          {"marginals.cache_misses", "Marginal cache specs answered from a fused pass"},
           {"marginals.cache_resident_bytes", "Marginal cache resident payload bytes"},
           {"marginals.fused_passes", "Fused marginal evaluation passes"},
+          {"marginals.fused_plans", "Tables counted by fused marginal passes"},
           {"marginals.fused_rows", "Rows scanned by fused marginal passes"},
           {"marginals.fused_seconds", "Fused marginal pass latency"},
+          {"marginals.projected", "Marginal cache specs answered by projecting a larger table"},
           {"marginals.rows_per_second", "Rows/s of the last fused marginal pass"},
           {"marginals.shard_imbalance", "Max/mean shard time ratio of the last fused pass"},
           {"marginals.shard_seconds", "Per-shard fused marginal pass latency"},

@@ -271,7 +271,9 @@ void RegisterStandardMetrics() {
   registry.counter("marginals.cache_misses");
   registry.counter("marginals.cache_evictions");
   registry.gauge("marginals.cache_resident_bytes");
+  registry.counter("marginals.projected");
   registry.counter("marginals.fused_passes");
+  registry.counter("marginals.fused_plans");
   registry.counter("marginals.fused_rows");
   registry.histogram("marginals.fused_seconds");
   registry.histogram("marginals.shard_seconds");

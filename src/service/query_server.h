@@ -93,7 +93,8 @@ struct QueryServerStats {
   uint64_t shed_tenant_cap = 0;
   uint64_t completed = 0;
   uint64_t batches = 0;          // dispatcher drains (incl. width-1)
-  uint64_t fused_passes = 0;     // Phase A evaluator passes actually run
+  uint64_t fused_passes = 0;     // Phase A groups the cache served, with
+                                 // or without a scan
   uint64_t max_batch_width = 0;  // widest drain observed
   size_t queue_depth = 0;
   size_t num_tenants = 0;

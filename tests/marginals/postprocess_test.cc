@@ -4,6 +4,8 @@
 
 #include <array>
 #include <cmath>
+#include <cstring>
+#include <span>
 #include <vector>
 
 namespace ireduct {
@@ -68,6 +70,56 @@ TEST(PostprocessTest, ProjectRejectsNonSubsequence) {
   EXPECT_FALSE(ProjectMarginal(m, std::array<uint32_t, 1>{7}).ok());
   // Out of order is not a subsequence.
   EXPECT_FALSE(ProjectMarginal(m, std::array<uint32_t, 2>{1, 0}).ok());
+}
+
+TEST(PostprocessTest, ProjectRejectsEmptyKeep) {
+  const Marginal m = Make2D(2, 3, {1, 2, 3, 4, 5, 6});
+  const auto empty = ProjectMarginal(m, std::span<const uint32_t>());
+  ASSERT_FALSE(empty.ok());
+  EXPECT_EQ(empty.status().code(), StatusCode::kInvalidArgument);
+}
+
+// The projection adds fine cells in cell order, so noisy tables project
+// to exactly the doubles of a per-cell coordinate walk.
+TEST(PostprocessTest, ProjectAddsInFineCellOrder) {
+  std::vector<double> counts(3 * 4 * 5);
+  for (size_t c = 0; c < counts.size(); ++c) {
+    counts[c] = std::sin(static_cast<double>(c) * 1.7) * 1e3 + 0.1;
+  }
+  auto fine = Marginal::FromCounts(MarginalSpec{{4, 7, 9}}, {3, 4, 5},
+                                   std::move(counts));
+  ASSERT_TRUE(fine.ok());
+  const std::vector<std::vector<size_t>> keeps{{0}, {1}, {2}, {0, 1},
+                                               {0, 2}, {1, 2}, {0, 1, 2}};
+  for (const std::vector<size_t>& positions : keeps) {
+    std::vector<uint32_t> keep;
+    std::vector<uint32_t> domains;
+    for (size_t p : positions) {
+      keep.push_back(fine->spec().attributes[p]);
+      domains.push_back(fine->domain_sizes()[p]);
+    }
+    auto got = ProjectMarginal(*fine, keep);
+    ASSERT_TRUE(got.ok());
+    size_t cells = 1;
+    for (uint32_t d : domains) cells *= d;
+    auto want = Marginal::FromCounts(MarginalSpec{keep}, domains,
+                                     std::vector<double>(cells, 0.0));
+    ASSERT_TRUE(want.ok());
+    std::vector<double> sums(cells, 0.0);
+    std::vector<uint16_t> coarse(positions.size());
+    for (size_t cell = 0; cell < fine->num_cells(); ++cell) {
+      const std::vector<uint16_t> coords = fine->CellCoordinates(cell);
+      for (size_t i = 0; i < positions.size(); ++i) {
+        coarse[i] = coords[positions[i]];
+      }
+      sums[want->CellIndex(coarse)] += fine->count(cell);
+    }
+    ASSERT_EQ(got->num_cells(), cells);
+    EXPECT_EQ(got->domain_sizes(), domains);
+    EXPECT_EQ(std::memcmp(got->counts().data(), sums.data(),
+                          cells * sizeof(double)),
+              0);
+  }
 }
 
 TEST(PostprocessTest, EnforceTotalShiftsUniformly) {

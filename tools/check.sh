@@ -202,6 +202,11 @@ if [ "$mode" = threads ]; then
     --gtest_filter='*Chains*:*EventStream*'
   IREDUCT_THREADS=4 ./build-tsan/tests/event_log_test --gtest_repeat=20 \
     --gtest_filter='*Capture*:*Commit*'
+  # Concurrent cache calls that project, count and evict under a one-table
+  # budget.
+  echo "== TSan: concurrent marginal lattice, 20 repeats =="
+  IREDUCT_THREADS=4 ./build-tsan/tests/marginal_cache_test --gtest_repeat=20 \
+    --gtest_filter='*ConcurrentLattice*'
   exit 0
 fi
 
