@@ -83,12 +83,8 @@ Result<MechanismSpec> MechanismSpec::FromJson(std::string_view json) {
   if (!doc.is(obs::JsonValue::Kind::kObject)) {
     return Status::InvalidArgument("mechanism spec JSON must be an object");
   }
-  const obs::JsonValue* name = doc.Find("name");
-  if (name == nullptr || !name->is(obs::JsonValue::Kind::kString)) {
-    return Status::InvalidArgument(
-        "mechanism spec JSON needs a string \"name\"");
-  }
-  MechanismSpec spec(name->text);
+  IREDUCT_ASSIGN_OR_RETURN(std::string name, doc.GetString("name"));
+  MechanismSpec spec(std::move(name));
   if (!ValidToken(spec.name_)) {
     return Status::InvalidArgument("mechanism spec JSON name '" +
                                    spec.name_ + "' is malformed");
@@ -105,10 +101,6 @@ Result<MechanismSpec> MechanismSpec::FromJson(std::string_view json) {
           "mechanism spec JSON \"params\" must be an object");
     }
     for (const auto& [pkey, pvalue] : value.object) {
-      if (spec.Has(pkey)) {
-        return Status::InvalidArgument("mechanism spec JSON sets param '" +
-                                       pkey + "' twice");
-      }
       switch (pvalue.kind) {
         case obs::JsonValue::Kind::kString:
         case obs::JsonValue::Kind::kNumber:

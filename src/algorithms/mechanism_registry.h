@@ -67,7 +67,7 @@ class MechanismSpec {
 
   /// Typed accessors; return `fallback` when the key is absent and
   /// kInvalidArgument when present but not exactly a number: the whole
-  /// value must parse (std::from_chars: no '+' prefix, whitespace, hex or
+  /// value must parse (ParseExact: no '+' prefix, whitespace, hex or
   /// trailing text), and an integer must fit int64_t.
   Result<double> GetDouble(std::string_view key, double fallback) const;
   Result<int64_t> GetInt(std::string_view key, int64_t fallback) const;

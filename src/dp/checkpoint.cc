@@ -7,15 +7,12 @@
 #include <bit>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
 #include "common/fault.h"
 #include "common/hash.h"
-#include "common/numeric.h"
 #include "dp/ledger_journal.h"
 #include "obs/event_log.h"
 #include "obs/json.h"
@@ -28,74 +25,6 @@ namespace {
 
 std::string ErrnoMessage(const std::string& what, const std::string& path) {
   return what + " '" + path + "': " + std::strerror(errno);
-}
-
-// Every integer in a checkpoint: the raw token must be plain decimal
-// digits for a value in [0, max]. A sign, fraction or exponent is refused,
-// never wrapped, rounded or clamped.
-Result<uint64_t> TokenToU64(const obs::JsonValue& field, std::string_view key,
-                            uint64_t max = UINT64_MAX) {
-  uint64_t value = 0;
-  if (!field.is(obs::JsonValue::Kind::kNumber) ||
-      !ParseExact(field.text, &value) || value > max) {
-    return Status::IoError("checkpoint has malformed integer in '" +
-                           std::string(key) + "'");
-  }
-  return value;
-}
-
-Result<uint64_t> ParseU64Field(const obs::JsonValue& doc,
-                               std::string_view key) {
-  const obs::JsonValue* field = doc.Find(key);
-  if (field == nullptr) {
-    return Status::IoError("checkpoint is missing '" + std::string(key) +
-                           "'");
-  }
-  return TokenToU64(*field, key);
-}
-
-// Exact double recovery: the writer renders shortest round-trip, so
-// strtod on the raw token restores the bit pattern.
-Result<double> TokenToDouble(const obs::JsonValue& field,
-                             std::string_view key) {
-  if (!field.is(obs::JsonValue::Kind::kNumber)) {
-    return Status::IoError("checkpoint field '" + std::string(key) +
-                           "' is not a number");
-  }
-  char* end = nullptr;
-  const double value = std::strtod(field.text.c_str(), &end);
-  if (end != field.text.c_str() + field.text.size()) {
-    return Status::IoError("checkpoint has malformed number in '" +
-                           std::string(key) + "'");
-  }
-  return value;
-}
-
-Result<double> ParseDoubleField(const obs::JsonValue& doc,
-                                std::string_view key) {
-  const obs::JsonValue* field = doc.Find(key);
-  if (field == nullptr) {
-    return Status::IoError("checkpoint is missing '" + std::string(key) +
-                           "'");
-  }
-  return TokenToDouble(*field, key);
-}
-
-Result<std::vector<double>> ParseDoubleArray(const obs::JsonValue& doc,
-                                             std::string_view key) {
-  const obs::JsonValue* field = doc.Find(key);
-  if (field == nullptr || !field->is(obs::JsonValue::Kind::kArray)) {
-    return Status::IoError("checkpoint is missing array '" +
-                           std::string(key) + "'");
-  }
-  std::vector<double> out;
-  out.reserve(field->array.size());
-  for (const obs::JsonValue& element : field->array) {
-    IREDUCT_ASSIGN_OR_RETURN(const double value,
-                             TokenToDouble(element, key));
-    out.push_back(value);
-  }
-  return out;
 }
 
 void WriteDoubleArray(obs::JsonWriter* json, std::string_view key,
@@ -201,84 +130,74 @@ std::string SerializeCheckpoint(const RunCheckpoint& checkpoint) {
   return SealJsonRecord(body);
 }
 
+namespace {
+
+// The checkpoint in an unsealed record body. Every integer is read
+// exactly or refused; every double is restored bit for bit.
+Result<RunCheckpoint> ReadCheckpoint(std::string_view body) {
+  IREDUCT_ASSIGN_OR_RETURN(const obs::JsonValue doc, obs::JsonParse(body));
+  IREDUCT_ASSIGN_OR_RETURN(const std::string type, doc.GetString("type"));
+  if (type != "checkpoint") {
+    return Status::InvalidArgument("record is not a checkpoint");
+  }
+  IREDUCT_ASSIGN_OR_RETURN(const uint64_t version, doc.GetUnsigned("version"));
+  if (version != RunCheckpoint::kVersion) {
+    return Status::InvalidArgument("unsupported checkpoint version " +
+                                   std::to_string(version));
+  }
+
+  RunCheckpoint out;
+  IREDUCT_ASSIGN_OR_RETURN(out.algorithm, doc.GetString("algorithm"));
+  IREDUCT_ASSIGN_OR_RETURN(out.workload_fingerprint,
+                           doc.GetUnsigned("workload"));
+  IREDUCT_ASSIGN_OR_RETURN(out.round, doc.GetUnsigned("round"));
+  IREDUCT_ASSIGN_OR_RETURN(out.iterations, doc.GetUnsigned("iterations"));
+  IREDUCT_ASSIGN_OR_RETURN(out.resample_calls,
+                           doc.GetUnsigned("resample_calls"));
+  IREDUCT_ASSIGN_OR_RETURN(out.epsilon_spent, doc.GetDouble("epsilon_spent"));
+
+  IREDUCT_ASSIGN_OR_RETURN(const std::vector<uint64_t> rng,
+                           doc.GetUnsigneds("rng"));
+  if (rng.size() != out.rng_state.size()) {
+    return Status::InvalidArgument("checkpoint 'rng' must be a 4-word array");
+  }
+  std::copy(rng.begin(), rng.end(), out.rng_state.begin());
+
+  IREDUCT_ASSIGN_OR_RETURN(const obs::JsonValue* gs,
+                           doc.Get("gs", obs::JsonValue::Kind::kObject));
+  IREDUCT_ASSIGN_OR_RETURN(out.gs.value, gs->GetDouble("value"));
+  IREDUCT_ASSIGN_OR_RETURN(out.gs.compensation, gs->GetDouble("compensation"));
+  IREDUCT_ASSIGN_OR_RETURN(out.gs.commits_since_resync,
+                           gs->GetUnsigned("commits_since_resync"));
+
+  IREDUCT_ASSIGN_OR_RETURN(out.answers, doc.GetDoubles("answers"));
+  IREDUCT_ASSIGN_OR_RETURN(out.group_scales, doc.GetDoubles("group_scales"));
+  IREDUCT_ASSIGN_OR_RETURN(const std::vector<uint64_t> active,
+                           doc.GetUnsigneds("active", 1));
+  out.active.assign(active.begin(), active.end());
+  IREDUCT_ASSIGN_OR_RETURN(out.nominal_scales,
+                           doc.GetDoubles("nominal_scales"));
+  IREDUCT_ASSIGN_OR_RETURN(out.weighted_sum, doc.GetDoubles("weighted_sum"));
+  IREDUCT_ASSIGN_OR_RETURN(out.weight, doc.GetDoubles("weight"));
+
+  if (out.group_scales.size() != out.active.size()) {
+    return Status::InvalidArgument(
+        "checkpoint 'group_scales' and 'active' sizes disagree");
+  }
+  return out;
+}
+
+}  // namespace
+
 Result<RunCheckpoint> ParseCheckpoint(std::string_view text) {
   std::string body;
   if (!UnsealJsonRecord(text, &body)) {
     return Status::IoError(
         "checkpoint record failed its CRC check (truncated or corrupt)");
   }
-  IREDUCT_ASSIGN_OR_RETURN(const obs::JsonValue doc, obs::JsonParse(body));
-  const obs::JsonValue* type = doc.Find("type");
-  if (type == nullptr || !type->is(obs::JsonValue::Kind::kString) ||
-      type->text != "checkpoint") {
-    return Status::IoError("record is not a checkpoint");
-  }
-  IREDUCT_ASSIGN_OR_RETURN(const uint64_t version,
-                           ParseU64Field(doc, "version"));
-  if (version != RunCheckpoint::kVersion) {
-    return Status::IoError("unsupported checkpoint version " +
-                           std::to_string(version));
-  }
-
-  RunCheckpoint out;
-  const obs::JsonValue* algorithm = doc.Find("algorithm");
-  if (algorithm == nullptr ||
-      !algorithm->is(obs::JsonValue::Kind::kString)) {
-    return Status::IoError("checkpoint is missing 'algorithm'");
-  }
-  out.algorithm = algorithm->text;
-  IREDUCT_ASSIGN_OR_RETURN(out.workload_fingerprint,
-                           ParseU64Field(doc, "workload"));
-  IREDUCT_ASSIGN_OR_RETURN(out.round, ParseU64Field(doc, "round"));
-  IREDUCT_ASSIGN_OR_RETURN(out.iterations,
-                           ParseU64Field(doc, "iterations"));
-  IREDUCT_ASSIGN_OR_RETURN(out.resample_calls,
-                           ParseU64Field(doc, "resample_calls"));
-  IREDUCT_ASSIGN_OR_RETURN(out.epsilon_spent,
-                           ParseDoubleField(doc, "epsilon_spent"));
-
-  const obs::JsonValue* rng = doc.Find("rng");
-  if (rng == nullptr || !rng->is(obs::JsonValue::Kind::kArray) ||
-      rng->array.size() != out.rng_state.size()) {
-    return Status::IoError("checkpoint 'rng' must be a 4-word array");
-  }
-  for (size_t i = 0; i < out.rng_state.size(); ++i) {
-    IREDUCT_ASSIGN_OR_RETURN(out.rng_state[i],
-                             TokenToU64(rng->array[i], "rng"));
-  }
-
-  const obs::JsonValue* gs = doc.Find("gs");
-  if (gs == nullptr || !gs->is(obs::JsonValue::Kind::kObject)) {
-    return Status::IoError("checkpoint is missing 'gs'");
-  }
-  IREDUCT_ASSIGN_OR_RETURN(out.gs.value, ParseDoubleField(*gs, "value"));
-  IREDUCT_ASSIGN_OR_RETURN(out.gs.compensation,
-                           ParseDoubleField(*gs, "compensation"));
-  IREDUCT_ASSIGN_OR_RETURN(out.gs.commits_since_resync,
-                           ParseU64Field(*gs, "commits_since_resync"));
-
-  IREDUCT_ASSIGN_OR_RETURN(out.answers, ParseDoubleArray(doc, "answers"));
-  IREDUCT_ASSIGN_OR_RETURN(out.group_scales,
-                           ParseDoubleArray(doc, "group_scales"));
-  const obs::JsonValue* active = doc.Find("active");
-  if (active == nullptr || !active->is(obs::JsonValue::Kind::kArray)) {
-    return Status::IoError("checkpoint is missing array 'active'");
-  }
-  out.active.reserve(active->array.size());
-  for (const obs::JsonValue& flag : active->array) {
-    IREDUCT_ASSIGN_OR_RETURN(const uint64_t bit,
-                             TokenToU64(flag, "active", 1));
-    out.active.push_back(static_cast<uint8_t>(bit));
-  }
-  IREDUCT_ASSIGN_OR_RETURN(out.nominal_scales,
-                           ParseDoubleArray(doc, "nominal_scales"));
-  IREDUCT_ASSIGN_OR_RETURN(out.weighted_sum,
-                           ParseDoubleArray(doc, "weighted_sum"));
-  IREDUCT_ASSIGN_OR_RETURN(out.weight, ParseDoubleArray(doc, "weight"));
-
-  if (out.group_scales.size() != out.active.size()) {
-    return Status::IoError(
-        "checkpoint 'group_scales' and 'active' sizes disagree");
+  Result<RunCheckpoint> out = ReadCheckpoint(body);
+  if (!out.ok()) {
+    return Status::IoError("malformed checkpoint: " + out.status().message());
   }
   return out;
 }

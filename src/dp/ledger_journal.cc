@@ -24,6 +24,7 @@ namespace ireduct {
 namespace {
 
 constexpr std::string_view kCrcMember = ",\"crc\":\"";
+constexpr uint64_t kJournalVersion = 1;
 constexpr std::string_view kTornLabel = "torn grant (unconfirmed)";
 
 std::string ErrnoMessage(const std::string& what, const std::string& path) {
@@ -35,7 +36,7 @@ std::string OpenRecordBody(double budget) {
   obs::JsonWriter json(&body);
   json.BeginObject();
   json.KV("type", "open");
-  json.KV("version", uint64_t{1});
+  json.KV("version", kJournalVersion);
   json.KV("budget", budget);
   json.EndObject();
   return body;
@@ -54,22 +55,39 @@ std::string GrantRecordBody(uint64_t seq, double epsilon,
   return body;
 }
 
-Result<double> ParseDoubleField(const obs::JsonValue& doc,
-                                std::string_view key) {
-  const obs::JsonValue* field = doc.Find(key);
-  if (field == nullptr || !field->is(obs::JsonValue::Kind::kNumber)) {
-    return Status::IoError("journal record is missing numeric '" +
-                           std::string(key) + "'");
+// Reads the unsealed record `body` found at line `index` into
+// `recovered`: the open record when `index` is 0, otherwise grant number
+// `index`. Refusals are kInvalidArgument; Recover reports them as kIoError.
+Status ReadRecord(std::string_view body, size_t index,
+                  LedgerJournal::Recovered* recovered) {
+  IREDUCT_ASSIGN_OR_RETURN(const obs::JsonValue doc, obs::JsonParse(body));
+  IREDUCT_ASSIGN_OR_RETURN(const std::string type, doc.GetString("type"));
+  if (index == 0) {
+    if (type != "open") return Status::InvalidArgument("not an open record");
+    IREDUCT_ASSIGN_OR_RETURN(const uint64_t version,
+                             doc.GetUnsigned("version"));
+    if (version != kJournalVersion) {
+      return Status::InvalidArgument("unsupported version " +
+                                     std::to_string(version));
+    }
+    IREDUCT_ASSIGN_OR_RETURN(recovered->budget, doc.GetDouble("budget"));
+    if (!(recovered->budget > 0) || !std::isfinite(recovered->budget)) {
+      return Status::InvalidArgument("invalid budget");
+    }
+    return Status::OK();
   }
-  // Parse the raw token so the writer's shortest-round-trip rendering
-  // restores the exact double.
-  char* end = nullptr;
-  const double value = std::strtod(field->text.c_str(), &end);
-  if (end != field->text.c_str() + field->text.size()) {
-    return Status::IoError("journal record has malformed '" +
-                           std::string(key) + "'");
+  if (type != "grant") {
+    return Status::InvalidArgument("unknown type '" + type + "'");
   }
-  return value;
+  IREDUCT_ASSIGN_OR_RETURN(const uint64_t seq, doc.GetUnsigned("seq"));
+  if (seq != index) return Status::InvalidArgument("out of sequence");
+  IREDUCT_ASSIGN_OR_RETURN(const double epsilon, doc.GetDouble("epsilon"));
+  if (!(epsilon > 0) || !std::isfinite(epsilon)) {
+    return Status::InvalidArgument("invalid epsilon");
+  }
+  IREDUCT_ASSIGN_OR_RETURN(std::string label, doc.GetString("label"));
+  recovered->charges.push_back(PrivacyCharge{std::move(label), epsilon});
+  return Status::OK();
 }
 
 // Salvages the ε of a torn grant record. Conservative: the number must be
@@ -334,21 +352,9 @@ Result<LedgerJournal::Recovered> LedgerJournal::Recover(
   }
 
   Recovered recovered;
-  uint64_t expected_seq = 1;
   for (size_t i = 0; i < lines.size(); ++i) {
     std::string body;
-    const bool valid = UnsealJsonRecord(lines[i], &body);
-    obs::JsonValue doc;
-    if (valid) {
-      auto parsed = obs::JsonParse(body);
-      if (!parsed.ok()) {
-        return Status::IoError("journal '" + path + "' record " +
-                               std::to_string(i) + " is unparseable: " +
-                               parsed.status().message());
-      }
-      doc = std::move(*parsed);
-    }
-    if (!valid) {
+    if (!UnsealJsonRecord(lines[i], &body)) {
       // A bad record with data after it is corruption, not a crash
       // artifact: refuse. A bad *final* line is handled as a torn tail
       // below (a crash can tear a record that happens to contain a
@@ -360,50 +366,13 @@ Result<LedgerJournal::Recovered> LedgerJournal::Recover(
                                "refusing corrupt journal");
       }
       tail = lines[i];
+      lines.pop_back();  // the bad final line is the torn tail
       break;
     }
-    const obs::JsonValue* type = doc.Find("type");
-    if (type == nullptr || !type->is(obs::JsonValue::Kind::kString)) {
+    if (Status read = ReadRecord(body, i, &recovered); !read.ok()) {
       return Status::IoError("journal '" + path + "' record " +
-                             std::to_string(i) + " has no type");
+                             std::to_string(i) + ": " + read.message());
     }
-    if (i == 0) {
-      if (type->text != "open") {
-        return Status::IoError("journal '" + path +
-                               "' does not start with an open record");
-      }
-      IREDUCT_ASSIGN_OR_RETURN(recovered.budget,
-                               ParseDoubleField(doc, "budget"));
-      if (!(recovered.budget > 0) || !std::isfinite(recovered.budget)) {
-        return Status::IoError("journal '" + path +
-                               "' open record has an invalid budget");
-      }
-      continue;
-    }
-    if (type->text != "grant") {
-      return Status::IoError("journal '" + path + "' record " +
-                             std::to_string(i) + " has unknown type '" +
-                             type->text + "'");
-    }
-    IREDUCT_ASSIGN_OR_RETURN(const double seq, ParseDoubleField(doc, "seq"));
-    if (seq != static_cast<double>(expected_seq)) {
-      return Status::IoError("journal '" + path + "' record " +
-                             std::to_string(i) +
-                             " is out of sequence; refusing corrupt journal");
-    }
-    ++expected_seq;
-    IREDUCT_ASSIGN_OR_RETURN(const double epsilon,
-                             ParseDoubleField(doc, "epsilon"));
-    if (!(epsilon > 0) || !std::isfinite(epsilon)) {
-      return Status::IoError("journal '" + path + "' record " +
-                             std::to_string(i) + " has an invalid epsilon");
-    }
-    const obs::JsonValue* label = doc.Find("label");
-    if (label == nullptr || !label->is(obs::JsonValue::Kind::kString)) {
-      return Status::IoError("journal '" + path + "' record " +
-                             std::to_string(i) + " has no label");
-    }
-    recovered.charges.push_back(PrivacyCharge{label->text, epsilon});
   }
 
   if (!tail.empty()) {

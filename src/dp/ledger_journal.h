@@ -76,9 +76,9 @@ class LedgerJournal {
   };
 
   /// Reads and validates `path`. Refuses (kIoError) on: unreadable file,
-  /// torn/invalid open record, any bad record that is not the final one,
-  /// out-of-order sequence numbers, or a torn tail whose ε cannot be
-  /// confirmed complete.
+  /// torn/invalid open record or an open record whose version is not 1,
+  /// any bad record that is not the final one, a `seq` that is not exactly
+  /// the next integer, or a torn tail whose ε cannot be confirmed complete.
   static Result<Recovered> Recover(const std::string& path);
 
   /// Builds an accountant holding the recovered budget with every

@@ -21,11 +21,6 @@ double Percentile(const std::vector<double>& sorted, double p) {
   return sorted[std::min(sorted.size() - 1, rank == 0 ? 0 : rank - 1)];
 }
 
-std::string JsonToken(double v) {
-  if (!std::isfinite(v)) return '"' + obs::FormatDouble(v) + '"';
-  return obs::FormatDouble(v);
-}
-
 }  // namespace
 
 QueryErrorStats ComputeQueryErrorStats(const Workload& workload,
@@ -61,7 +56,7 @@ void RunReport::SetRunField(std::string_view key, std::string_view value) {
 }
 
 void RunReport::SetRunField(std::string_view key, double value) {
-  run_fields_.emplace_back(std::string(key), JsonToken(value));
+  run_fields_.emplace_back(std::string(key), obs::JsonToken(value));
 }
 
 void RunReport::SetRunField(std::string_view key, uint64_t value) {

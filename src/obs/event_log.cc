@@ -1,7 +1,6 @@
 #include "obs/event_log.h"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <utility>
 
@@ -13,12 +12,6 @@ namespace ireduct {
 namespace obs {
 
 namespace {
-std::string JsonToken(double v) {
-  // JSON has no non-finite numbers; quote them like JsonWriter::Double.
-  if (!std::isfinite(v)) return '"' + FormatDouble(v) + '"';
-  return FormatDouble(v);
-}
-
 // The calling thread's active capture (EventCapture::Scope), if any.
 thread_local EventCapture* active_capture = nullptr;
 }  // namespace

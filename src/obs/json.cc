@@ -1,9 +1,12 @@
 #include "obs/json.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+
+#include "common/numeric.h"
 
 namespace ireduct {
 namespace obs {
@@ -14,6 +17,11 @@ std::string FormatDouble(double v) {
   char buf[32];
   const auto res = std::to_chars(buf, buf + sizeof(buf), v);
   return std::string(buf, res.ptr);
+}
+
+std::string JsonToken(double v) {
+  if (!std::isfinite(v)) return '"' + FormatDouble(v) + '"';
+  return FormatDouble(v);
 }
 
 std::string EscapeJson(std::string_view s) {
@@ -98,12 +106,8 @@ void JsonWriter::String(std::string_view value) {
 }
 
 void JsonWriter::Double(double value) {
-  if (!std::isfinite(value)) {
-    String(FormatDouble(value));
-    return;
-  }
   Separate();
-  *out_ += FormatDouble(value);
+  *out_ += JsonToken(value);
 }
 
 void JsonWriter::Int(int64_t value) {
@@ -131,6 +135,76 @@ const JsonValue* JsonValue::Find(std::string_view key) const {
     if (k == key) return &v;
   }
   return nullptr;
+}
+
+const JsonValue& JsonValue::Member(std::string_view key) const {
+  static const JsonValue kNull;
+  const JsonValue* member = Find(key);
+  return member != nullptr ? *member : kNull;
+}
+
+namespace {
+
+Status FieldError(std::string_view name, const std::string& what) {
+  return Status::InvalidArgument("field '" + std::string(name) + "' " + what);
+}
+
+}  // namespace
+
+Result<uint64_t> JsonValue::AsUnsigned(std::string_view name,
+                                       uint64_t max) const {
+  uint64_t value = 0;
+  if (is(Kind::kNumber) && ParseExact(text, &value) && value <= max) {
+    return value;
+  }
+  return FieldError(name,
+                    "must be an integer in [0, " + std::to_string(max) + "]");
+}
+
+Result<double> JsonValue::AsDouble(std::string_view name) const {
+  if (is(Kind::kNumber)) return number;
+  return FieldError(name, "must be a number");
+}
+
+Result<std::string> JsonValue::AsString(std::string_view name) const {
+  if (is(Kind::kString)) return text;
+  return FieldError(name, "must be a string");
+}
+
+Result<bool> JsonValue::AsBool(std::string_view name) const {
+  if (is(Kind::kBool)) return boolean;
+  return FieldError(name, "must be a boolean");
+}
+
+Result<std::vector<uint64_t>> JsonValue::AsUnsigneds(std::string_view name,
+                                                     uint64_t max) const {
+  if (!is(Kind::kArray)) return FieldError(name, "must be an array");
+  std::vector<uint64_t> out;
+  for (const JsonValue& element : array) {
+    IREDUCT_ASSIGN_OR_RETURN(const uint64_t value,
+                             element.AsUnsigned(name, max));
+    out.push_back(value);
+  }
+  return out;
+}
+
+Result<std::vector<double>> JsonValue::AsDoubles(std::string_view name) const {
+  if (!is(Kind::kArray)) return FieldError(name, "must be an array");
+  std::vector<double> out;
+  for (const JsonValue& element : array) {
+    IREDUCT_ASSIGN_OR_RETURN(const double value, element.AsDouble(name));
+    out.push_back(value);
+  }
+  return out;
+}
+
+Result<const JsonValue*> JsonValue::Get(std::string_view key, Kind k) const {
+  static constexpr const char* kKinds[] = {"null",     "a boolean",
+                                           "a number", "a string",
+                                           "an array", "an object"};
+  const JsonValue& member = Member(key);
+  if (member.is(k)) return &member;
+  return FieldError(key, std::string("must be ") + kKinds[static_cast<int>(k)]);
 }
 
 namespace {
@@ -179,6 +253,30 @@ class JsonParser {
     return false;
   }
 
+  // The four hex digits of a \u escape.
+  Result<uint32_t> ParseHex4() {
+    uint32_t code = 0;
+    const char* const begin = input_.data() + pos_;
+    if (pos_ + 4 > input_.size() ||
+        std::from_chars(begin, begin + 4, code, 16).ptr != begin + 4) {
+      return Error("bad \\u escape");
+    }
+    pos_ += 4;
+    return code;
+  }
+
+  // Appends code point `code` (at most 0x10FFFF) as UTF-8: a lead byte
+  // that marks how many continuation bytes follow, then those bytes.
+  static void AppendUtf8(uint32_t code, std::string* out) {
+    constexpr uint32_t kLead[] = {0x00, 0xC0, 0xE0, 0xF0};
+    const int tail =
+        code < 0x80 ? 0 : code < 0x800 ? 1 : code < 0x10000 ? 2 : 3;
+    out->push_back(static_cast<char>(kLead[tail] | (code >> (6 * tail))));
+    for (int i = tail - 1; i >= 0; --i) {
+      out->push_back(static_cast<char>(0x80 | ((code >> (6 * i)) & 0x3F)));
+    }
+  }
+
   Result<std::string> ParseString() {
     if (!Consume('"')) return Error("expected string");
     std::string out;
@@ -199,16 +297,16 @@ class JsonParser {
         case 'r': out += '\r'; break;
         case 't': out += '\t'; break;
         case 'u': {
-          if (pos_ + 4 > input_.size()) return Error("truncated \\u escape");
-          unsigned code = 0;
-          const auto res = std::from_chars(
-              input_.data() + pos_, input_.data() + pos_ + 4, code, 16);
-          if (res.ec != std::errc() || res.ptr != input_.data() + pos_ + 4) {
-            return Error("bad \\u escape");
+          IREDUCT_ASSIGN_OR_RETURN(uint32_t code, ParseHex4());
+          if (code >= 0xD800 && code <= 0xDBFF &&
+              ConsumeLiteral("\\u")) {
+            IREDUCT_ASSIGN_OR_RETURN(const uint32_t low, ParseHex4());
+            if (low < 0xDC00 || low > 0xDFFF) return Error("lone surrogate");
+            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+          } else if (code >= 0xD800 && code <= 0xDFFF) {
+            return Error("lone surrogate");
           }
-          pos_ += 4;
-          // Sufficient for the control characters the writer escapes.
-          out += static_cast<char>(code);
+          AppendUtf8(code, &out);
           break;
         }
         default:
@@ -223,32 +321,45 @@ class JsonParser {
     if (pos_ >= input_.size()) return Error("unexpected end of input");
     const char c = input_[pos_];
     JsonValue value;
+    if ((c == '{' || c == '[') && ++depth_ > kMaxJsonDepth) {
+      return Error("nesting deeper than " + std::to_string(kMaxJsonDepth));
+    }
     if (c == '{') {
       ++pos_;
       value.kind = JsonValue::Kind::kObject;
-      if (Consume('}')) return value;
-      for (;;) {
-        SkipSpace();
-        IREDUCT_ASSIGN_OR_RETURN(std::string key, ParseString());
-        if (!Consume(':')) return Error("expected ':' after object key");
-        IREDUCT_ASSIGN_OR_RETURN(JsonValue member, ParseValue());
-        value.object.emplace_back(std::move(key), std::move(member));
-        if (Consume(',')) continue;
-        if (Consume('}')) return value;
-        return Error("expected ',' or '}' in object");
+      if (!Consume('}')) {
+        do {
+          SkipSpace();
+          IREDUCT_ASSIGN_OR_RETURN(std::string key, ParseString());
+          if (!Consume(':')) return Error("expected ':' after object key");
+          IREDUCT_ASSIGN_OR_RETURN(JsonValue member, ParseValue());
+          value.object.emplace_back(std::move(key), std::move(member));
+        } while (Consume(','));
+        if (!Consume('}')) return Error("expected ',' or '}' in object");
+        // Sorted views keep an object of many members O(n log n).
+        std::vector<std::string_view> keys;
+        for (const auto& member : value.object) keys.push_back(member.first);
+        std::sort(keys.begin(), keys.end());
+        const auto repeated = std::adjacent_find(keys.begin(), keys.end());
+        if (repeated != keys.end()) {
+          return Error("repeated key '" + std::string(*repeated) + "'");
+        }
       }
+      --depth_;
+      return value;
     }
     if (c == '[') {
       ++pos_;
       value.kind = JsonValue::Kind::kArray;
-      if (Consume(']')) return value;
-      for (;;) {
-        IREDUCT_ASSIGN_OR_RETURN(JsonValue element, ParseValue());
-        value.array.push_back(std::move(element));
-        if (Consume(',')) continue;
-        if (Consume(']')) return value;
-        return Error("expected ',' or ']' in array");
+      if (!Consume(']')) {
+        do {
+          IREDUCT_ASSIGN_OR_RETURN(JsonValue element, ParseValue());
+          value.array.push_back(std::move(element));
+        } while (Consume(','));
+        if (!Consume(']')) return Error("expected ',' or ']' in array");
       }
+      --depth_;
+      return value;
     }
     if (c == '"') {
       IREDUCT_ASSIGN_OR_RETURN(value.text, ParseString());
@@ -266,27 +377,23 @@ class JsonParser {
     }
     if (ConsumeLiteral("null")) return value;
     const size_t start = pos_;
-    while (pos_ < input_.size()) {
-      const char d = input_[pos_];
-      if ((d >= '0' && d <= '9') || d == '-' || d == '+' || d == '.' ||
-          d == 'e' || d == 'E') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
+    pos_ = std::min(input_.find_first_not_of("0123456789+-.eE", start),
+                    input_.size());
     if (pos_ == start) return Error("unexpected character");
-    const std::string token(input_.substr(start, pos_ - start));
+    value.text = input_.substr(start, pos_ - start);
     char* end = nullptr;
-    value.number = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) return Error("malformed number");
+    value.number = std::strtod(value.text.c_str(), &end);
+    if (end != value.text.c_str() + value.text.size()) {
+      return Error("malformed number");
+    }
+    if (!std::isfinite(value.number)) return Error("number out of range");
     value.kind = JsonValue::Kind::kNumber;
-    value.text = token;
     return value;
   }
 
   std::string_view input_;
   size_t pos_ = 0;
+  size_t depth_ = 0;  // arrays and objects open at pos_
 };
 
 }  // namespace

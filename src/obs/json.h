@@ -1,5 +1,7 @@
-// Minimal streaming JSON writer (and strict document parser) for the
-// observability layer and config surfaces such as MechanismSpec.
+// Minimal streaming JSON writer, strict document parser and exact field
+// readers: the one place where a JSON token becomes a number, for the
+// wire protocol, ledger journals, checkpoints and config surfaces such as
+// MechanismSpec.
 //
 // The writer emits compact JSON with deterministic formatting: keys appear
 // exactly in the order the caller writes them, and doubles render via
@@ -12,14 +14,15 @@
 // needs; callers are expected to produce well-formed sequences (this is an
 // internal serialization aid, not a general-purpose JSON library).
 //
-// The parser (JsonParse) covers exactly what the writer emits — objects,
-// arrays, strings with basic escapes, numbers, booleans, null — and is
-// strict: trailing garbage, unterminated containers and bad escapes are
-// rejected with a Status, so round-trip users double as well-formedness
-// checks.
+// The parser (JsonParse) covers objects, arrays, strings, numbers,
+// booleans and null, and gives every input one reading or refuses it with
+// a Status: trailing garbage, unterminated containers, bad escapes, lone
+// surrogates, repeated keys, numbers beyond a double's range and nesting
+// deeper than kMaxJsonDepth are all refused.
 #ifndef IREDUCT_OBS_JSON_H_
 #define IREDUCT_OBS_JSON_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -35,6 +38,15 @@ namespace obs {
 /// non-finite values, without quotes — used inside JsonWriter and for
 /// human-readable log output).
 std::string FormatDouble(double v);
+
+/// `v` as one JSON value, as JsonWriter::Double writes it: the shortest
+/// round-trip number, or the quoted string "inf"/"-inf"/"nan".
+std::string JsonToken(double v);
+
+/// Deepest nesting of arrays and objects JsonParse accepts. The deepest
+/// document the repo reads has 6 levels; the bound keeps a hostile line
+/// from exhausting the parser's stack.
+inline constexpr size_t kMaxJsonDepth = 64;
 
 /// JSON string escaping of `s` (quotes not included).
 std::string EscapeJson(std::string_view s);
@@ -103,9 +115,55 @@ struct JsonValue {
 
   /// First member with the given key, or nullptr (objects only).
   const JsonValue* Find(std::string_view key) const;
+
+  /// Exact readers. The As* forms read this node, which `name` labels in
+  /// errors (an array element, or a member met while iterating); the Get*
+  /// forms read the required member `key` of this object. Anything else is
+  /// kInvalidArgument naming the field: a missing member, a node of
+  /// another kind, or an integer that is inexact or above `max`.
+  ///
+  /// An unsigned integer is read from the raw token by ParseExact (plain
+  /// decimal digits: no sign, fraction or exponent). A double is `number`,
+  /// which restores every double JsonWriter wrote bit for bit.
+  Result<uint64_t> AsUnsigned(std::string_view name,
+                              uint64_t max = UINT64_MAX) const;
+  Result<double> AsDouble(std::string_view name) const;
+  Result<std::string> AsString(std::string_view name) const;
+  Result<bool> AsBool(std::string_view name) const;
+  /// An array whose elements are read as above.
+  Result<std::vector<uint64_t>> AsUnsigneds(std::string_view name,
+                                            uint64_t max = UINT64_MAX) const;
+  Result<std::vector<double>> AsDoubles(std::string_view name) const;
+
+  /// The member `key`, which must be of kind `k`.
+  Result<const JsonValue*> Get(std::string_view key, Kind k) const;
+  Result<uint64_t> GetUnsigned(std::string_view key,
+                               uint64_t max = UINT64_MAX) const {
+    return Member(key).AsUnsigned(key, max);
+  }
+  Result<double> GetDouble(std::string_view key) const {
+    return Member(key).AsDouble(key);
+  }
+  Result<std::string> GetString(std::string_view key) const {
+    return Member(key).AsString(key);
+  }
+  Result<std::vector<uint64_t>> GetUnsigneds(std::string_view key,
+                                             uint64_t max = UINT64_MAX) const {
+    return Member(key).AsUnsigneds(key, max);
+  }
+  Result<std::vector<double>> GetDoubles(std::string_view key) const {
+    return Member(key).AsDoubles(key);
+  }
+
+ private:
+  /// The member `key`, or a null node when there is none.
+  const JsonValue& Member(std::string_view key) const;
 };
 
 /// Parses one JSON document. Strict: the whole input must be consumed.
+/// A `\u` escape decodes to UTF-8, a surrogate pair to one code point.
+/// A number keeps its raw token in `text` and its double reading in
+/// `number`. Failures are kInvalidArgument with the byte offset.
 Result<JsonValue> JsonParse(std::string_view text);
 
 }  // namespace obs

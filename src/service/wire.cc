@@ -4,12 +4,11 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <charconv>
 #include <chrono>
 #include <cstring>
-#include <functional>
 #include <limits>
 #include <utility>
 
@@ -21,50 +20,6 @@ namespace ireduct {
 namespace {
 
 using obs::JsonValue;
-
-constexpr uint64_t kMaxU64 = std::numeric_limits<uint64_t>::max();
-
-Result<double> AsNumber(const JsonValue& v, const char* key) {
-  if (!v.is(JsonValue::Kind::kNumber)) {
-    return Status::InvalidArgument(std::string("field '") + key +
-                                   "' must be a number");
-  }
-  return v.number;
-}
-
-// An integer field, parsed exactly from the raw token: plain decimal digits
-// only, at most `max`. Negative, fractional and exponent-form tokens are
-// refused rather than rounded or cast.
-Result<uint64_t> AsUnsigned(const JsonValue& v, const char* key,
-                            uint64_t max) {
-  if (!v.is(JsonValue::Kind::kNumber)) {
-    return Status::InvalidArgument(std::string("field '") + key +
-                                   "' must be a number");
-  }
-  const char* const begin = v.text.data();
-  const char* const end = begin + v.text.size();
-  uint64_t out = 0;
-  const auto [ptr, ec] = std::from_chars(begin, end, out);
-  if (ec == std::errc::result_out_of_range ||
-      (ec == std::errc() && ptr == end && out > max)) {
-    return Status::InvalidArgument(std::string("field '") + key +
-                                   "' is out of range (max " +
-                                   std::to_string(max) + ")");
-  }
-  if (ec != std::errc() || ptr != end) {
-    return Status::InvalidArgument(std::string("field '") + key +
-                                   "' must be a non-negative integer");
-  }
-  return out;
-}
-
-Result<std::string> AsString(const JsonValue& v, const char* key) {
-  if (!v.is(JsonValue::Kind::kString)) {
-    return Status::InvalidArgument(std::string("field '") + key +
-                                   "' must be a string");
-  }
-  return v.text;
-}
 
 // Re-serializes a parsed JSON node byte-compatibly with JsonWriter (numbers
 // keep their raw tokens), so result payloads survive a parse round trip.
@@ -98,34 +53,28 @@ void WriteValue(const JsonValue& v, obs::JsonWriter* w) {
   }
 }
 
-// Parses [[a,b,...],...] of integers in [0, max] row by row via `emit`.
-Status ParseNestedIntegerArray(
-    const JsonValue& v, const char* key, size_t min_inner, size_t max_inner,
-    uint64_t max,
-    const std::function<Status(const std::vector<uint64_t>&)>& emit) {
+// The rows of [[a,b,...],...], each of `min_width` to `max_width` integers
+// in [0, max].
+Result<std::vector<std::vector<uint64_t>>> ReadRows(const JsonValue& v,
+                                                    std::string_view key,
+                                                    size_t min_width,
+                                                    size_t max_width,
+                                                    uint64_t max) {
   if (!v.is(JsonValue::Kind::kArray)) {
-    return Status::InvalidArgument(std::string("field '") + key +
+    return Status::InvalidArgument("field '" + std::string(key) +
                                    "' must be an array of arrays");
   }
-  for (const JsonValue& inner : v.array) {
-    if (!inner.is(JsonValue::Kind::kArray)) {
-      return Status::InvalidArgument(std::string("field '") + key +
-                                     "' must be an array of arrays");
-    }
-    if (inner.array.size() < min_inner || inner.array.size() > max_inner) {
-      return Status::InvalidArgument(std::string("field '") + key +
+  std::vector<std::vector<uint64_t>> rows;
+  for (const JsonValue& row : v.array) {
+    IREDUCT_ASSIGN_OR_RETURN(std::vector<uint64_t> values,
+                             row.AsUnsigneds(key, max));
+    if (values.size() < min_width || values.size() > max_width) {
+      return Status::InvalidArgument("field '" + std::string(key) +
                                      "' has an entry of invalid length");
     }
-    std::vector<uint64_t> values;
-    values.reserve(inner.array.size());
-    for (const JsonValue& element : inner.array) {
-      IREDUCT_ASSIGN_OR_RETURN(const uint64_t n,
-                               AsUnsigned(element, key, max));
-      values.push_back(n);
-    }
-    IREDUCT_RETURN_NOT_OK(emit(values));
+    rows.push_back(std::move(values));
   }
-  return Status::OK();
+  return rows;
 }
 
 bool KnownOp(std::string_view op) {
@@ -225,57 +174,52 @@ Result<WireRequest> WireRequest::Parse(std::string_view line) {
   bool saw_id = false, saw_op = false;
   for (const auto& [key, value] : doc.object) {
     if (key == "id") {
-      IREDUCT_ASSIGN_OR_RETURN(out.id, AsUnsigned(value, "id", kMaxU64));
+      IREDUCT_ASSIGN_OR_RETURN(out.id, value.AsUnsigned(key));
       saw_id = true;
     } else if (key == "op") {
-      IREDUCT_ASSIGN_OR_RETURN(out.op, AsString(value, "op"));
+      IREDUCT_ASSIGN_OR_RETURN(out.op, value.AsString(key));
       saw_op = true;
     } else if (key == "tenant") {
-      IREDUCT_ASSIGN_OR_RETURN(out.tenant, AsString(value, "tenant"));
+      IREDUCT_ASSIGN_OR_RETURN(out.tenant, value.AsString(key));
     } else if (key == "dataset") {
-      IREDUCT_ASSIGN_OR_RETURN(out.dataset, AsString(value, "dataset"));
+      IREDUCT_ASSIGN_OR_RETURN(out.dataset, value.AsString(key));
     } else if (key == "mechanism") {
-      IREDUCT_ASSIGN_OR_RETURN(out.mechanism, AsString(value, "mechanism"));
+      IREDUCT_ASSIGN_OR_RETURN(out.mechanism, value.AsString(key));
     } else if (key == "budget") {
-      IREDUCT_ASSIGN_OR_RETURN(out.budget, AsNumber(value, "budget"));
+      IREDUCT_ASSIGN_OR_RETURN(out.budget, value.AsDouble(key));
     } else if (key == "epsilon") {
-      IREDUCT_ASSIGN_OR_RETURN(out.epsilon, AsNumber(value, "epsilon"));
+      IREDUCT_ASSIGN_OR_RETURN(out.epsilon, value.AsDouble(key));
     } else if (key == "delta") {
-      IREDUCT_ASSIGN_OR_RETURN(out.delta, AsNumber(value, "delta"));
+      IREDUCT_ASSIGN_OR_RETURN(out.delta, value.AsDouble(key));
     } else if (key == "seed") {
-      IREDUCT_ASSIGN_OR_RETURN(out.seed, AsUnsigned(value, "seed", kMaxU64));
+      IREDUCT_ASSIGN_OR_RETURN(out.seed, value.AsUnsigned(key));
     } else if (key == "lambda_steps") {
       // Sessions take the step count as an int.
       IREDUCT_ASSIGN_OR_RETURN(
           const uint64_t steps,
-          AsUnsigned(value, "lambda_steps", std::numeric_limits<int>::max()));
+          value.AsUnsigned(key, std::numeric_limits<int>::max()));
       out.lambda_steps = static_cast<int64_t>(steps);
     } else if (key == "specs") {
+      IREDUCT_ASSIGN_OR_RETURN(
+          const auto rows,
+          ReadRows(value, key, 1, 64, std::numeric_limits<uint32_t>::max()));
       out.specs.clear();
-      IREDUCT_RETURN_NOT_OK(ParseNestedIntegerArray(
-          value, "specs", 1, 64, std::numeric_limits<uint32_t>::max(),
-          [&out](const std::vector<uint64_t>& values) {
-            MarginalSpec spec;
-            for (const uint64_t v : values) {
-              spec.attributes.push_back(static_cast<uint32_t>(v));
-            }
-            out.specs.push_back(std::move(spec));
-            return Status::OK();
-          }));
+      for (const std::vector<uint64_t>& row : rows) {
+        out.specs.push_back(MarginalSpec{{row.begin(), row.end()}});
+      }
     } else if (key == "predicates") {
+      IREDUCT_ASSIGN_OR_RETURN(
+          const auto rows,
+          ReadRows(value, key, 2, 2, std::numeric_limits<uint32_t>::max()));
       out.query.predicates.clear();
-      IREDUCT_RETURN_NOT_OK(ParseNestedIntegerArray(
-          value, "predicates", 2, 2, std::numeric_limits<uint32_t>::max(),
-          [&out](const std::vector<uint64_t>& values) {
-            if (values[1] > std::numeric_limits<uint16_t>::max()) {
-              return Status::InvalidArgument(
-                  "field 'predicates' value is out of range (max 65535)");
-            }
-            out.query.predicates.push_back(
-                {static_cast<uint32_t>(values[0]),
-                 static_cast<uint16_t>(values[1])});
-            return Status::OK();
-          }));
+      for (const std::vector<uint64_t>& row : rows) {
+        if (row[1] > std::numeric_limits<uint16_t>::max()) {
+          return Status::InvalidArgument(
+              "field 'predicates' value is out of range (max 65535)");
+        }
+        out.query.predicates.push_back(
+            {static_cast<uint32_t>(row[0]), static_cast<uint16_t>(row[1])});
+      }
     } else {
       return Status::InvalidArgument("unknown request field '" + key + "'");
     }
@@ -320,13 +264,10 @@ Result<WireResponse> WireResponse::Parse(std::string_view line) {
   bool saw_id = false, saw_ok = false;
   for (const auto& [key, value] : doc.object) {
     if (key == "id") {
-      IREDUCT_ASSIGN_OR_RETURN(out.id, AsUnsigned(value, "id", kMaxU64));
+      IREDUCT_ASSIGN_OR_RETURN(out.id, value.AsUnsigned(key));
       saw_id = true;
     } else if (key == "ok") {
-      if (!value.is(JsonValue::Kind::kBool)) {
-        return Status::InvalidArgument("field 'ok' must be a boolean");
-      }
-      out.ok = value.boolean;
+      IREDUCT_ASSIGN_OR_RETURN(out.ok, value.AsBool(key));
       saw_ok = true;
     } else if (key == "result") {
       std::string raw;
@@ -334,14 +275,13 @@ Result<WireResponse> WireResponse::Parse(std::string_view line) {
       WriteValue(value, &w);
       out.result_json = std::move(raw);
     } else if (key == "code") {
-      IREDUCT_ASSIGN_OR_RETURN(out.code, AsString(value, "code"));
+      IREDUCT_ASSIGN_OR_RETURN(out.code, value.AsString(key));
     } else if (key == "message") {
-      IREDUCT_ASSIGN_OR_RETURN(out.message, AsString(value, "message"));
+      IREDUCT_ASSIGN_OR_RETURN(out.message, value.AsString(key));
     } else if (key == "retry_after_ms") {
       IREDUCT_ASSIGN_OR_RETURN(
           const uint64_t ms,
-          AsUnsigned(value, "retry_after_ms",
-                     std::numeric_limits<int64_t>::max()));
+          value.AsUnsigned(key, std::numeric_limits<int64_t>::max()));
       out.retry_after_ms = static_cast<int64_t>(ms);
     } else {
       return Status::InvalidArgument("unknown response field '" + key + "'");
@@ -537,17 +477,32 @@ void WireServer::ServeConnection(Connection* conn) {
   std::mutex write_mu;
   std::list<Waiter> waiters;
   std::string buffer;
+  size_t scanned = 0;  // buffer[0, scanned) holds no '\n'
   char chunk[4096];
   while (true) {
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
     if (n <= 0) break;  // disconnect or Stop()'s shutdown
     buffer.append(chunk, static_cast<size_t>(n));
-    size_t newline;
-    while ((newline = buffer.find('\n')) != std::string::npos) {
-      const std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
-      if (!line.empty()) HandleLine(line, fd, &write_mu, &waiters);
+    size_t begin = 0;
+    size_t end;
+    while ((end = buffer.find('\n', scanned)) != std::string::npos &&
+           end - begin <= kMaxWireLineBytes) {
+      if (end > begin) {
+        HandleLine(std::string_view(buffer).substr(begin, end - begin), fd,
+                   &write_mu, &waiters);
+      }
+      begin = scanned = end + 1;
     }
+    if (std::min(end, buffer.size()) - begin > kMaxWireLineBytes) {
+      const Status too_long = Status::InvalidArgument(
+          "request line is longer than " + std::to_string(kMaxWireLineBytes) +
+          " bytes; closing the connection");
+      WriteLine(fd, &write_mu, ErrorResponse(0, too_long, -1).ToJson());
+      ::shutdown(fd, SHUT_RDWR);
+      break;
+    }
+    buffer.erase(0, begin);
+    scanned = buffer.size();
   }
   // Queued requests still resolve (the server answers every admitted
   // request); their writes hit a dead socket and are dropped. The fd and

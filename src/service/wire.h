@@ -24,10 +24,12 @@
 //    "retry_after_ms":50}
 // `retry_after_ms` appears exactly on admission sheds; a client seeing it
 // can resubmit the identical request after the hinted delay (sheds never
-// charge ε). Unparseable request lines produce an id-0 error response.
+// charge ε). Unparseable request lines produce an id-0 error response; so
+// does a line longer than kMaxWireLineBytes, which also ends the connection.
 #ifndef IREDUCT_SERVICE_WIRE_H_
 #define IREDUCT_SERVICE_WIRE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <list>
 #include <map>
@@ -45,6 +47,10 @@
 #include "service/query_server.h"
 
 namespace ireduct {
+
+/// Longest request line a WireServer reads, newline excluded. A longer line
+/// gets an id-0 error response, and the server closes its connection.
+inline constexpr size_t kMaxWireLineBytes = size_t{1} << 20;
 
 /// One parsed request line. `op` selects which fields are meaningful.
 struct WireRequest {

@@ -207,6 +207,65 @@ TEST(LedgerJournalTest, OutOfOrderSequenceIsRefused) {
   std::remove(pathB.c_str());
 }
 
+// Integers in a journal are read exactly or refused. Each edited record is
+// re-sealed with a fresh CRC, so only the integer parse stands between it
+// and a recovered ledger.
+TEST(LedgerJournalTest, InexactIntegersAreRefused) {
+  const std::string path = TestPath("inexact");
+  {
+    auto journal = LedgerJournal::Create(path, 1.0);
+    ASSERT_TRUE(journal.ok());
+    ASSERT_TRUE(journal->AppendGrant("first", 0.25).ok());
+  }
+  const std::string contents = ReadFile(path);
+  const size_t split = contents.find('\n') + 1;
+  std::string open_body, grant_body;
+  ASSERT_TRUE(UnsealJsonRecord(contents.substr(0, split - 1), &open_body));
+  ASSERT_TRUE(UnsealJsonRecord(
+      contents.substr(split, contents.size() - split - 1), &grant_body));
+  const auto recover_edited = [&](const std::string& open,
+                                  const std::string& grant) {
+    WriteFile(path, SealJsonRecord(open) + "\n" + SealJsonRecord(grant) + "\n");
+    return LedgerJournal::Recover(path);
+  };
+  const auto edit = [](std::string body, const std::string& from,
+                       const std::string& to) {
+    const size_t at = body.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return body.replace(at, from.size(), to);
+  };
+  // Re-sealed but unedited, the journal recovers.
+  ASSERT_TRUE(recover_edited(open_body, grant_body).ok());
+  for (const char* seq : {"1.0", "1e0", "+1", "-1", "18446744073709551617"}) {
+    const std::string grant =
+        edit(grant_body, "\"seq\":1", std::string("\"seq\":") + seq);
+    auto recovered = recover_edited(open_body, grant);
+    ASSERT_FALSE(recovered.ok()) << "seq " << seq << " was accepted";
+    EXPECT_EQ(recovered.status().code(), StatusCode::kIoError);
+  }
+  for (const char* version :
+       {"\"version\":7,", "\"version\":1.0,", "\"version\":+1,", ""}) {
+    auto recovered = recover_edited(
+        edit(open_body, "\"version\":1,", version), grant_body);
+    ASSERT_FALSE(recovered.ok()) << "'" << version << "' was accepted";
+    EXPECT_EQ(recovered.status().code(), StatusCode::kIoError);
+  }
+  std::remove(path.c_str());
+}
+
+// A journal whose only line is a bad open record has no budget to recover,
+// even when that line ends in a newline and holds an ε.
+TEST(LedgerJournalTest, CorruptOpenRecordIsRefused) {
+  const std::string path = TestPath("bad_open");
+  WriteFile(path,
+            "{\"type\":\"open\",\"version\":1,\"budget\":1,\"epsilon\":0.25,"
+            "\"crc\":\"00000000\"}\n");
+  auto recovered = LedgerJournal::Recover(path);
+  ASSERT_FALSE(recovered.ok()) << "recovered budget " << recovered->budget;
+  EXPECT_EQ(recovered.status().code(), StatusCode::kIoError);
+  std::remove(path.c_str());
+}
+
 TEST(LedgerJournalTest, OpenForAppendRefusesTornTail) {
   const std::string path = TestPath("reopen_torn");
   {

@@ -685,6 +685,70 @@ TEST(WireServerTest, OversizedMarginalsRequestIsRefused) {
   EXPECT_TRUE(answered->ok) << answered->message;
 }
 
+// One response line from `fd`; empty when the connection closes or the read
+// times out first.
+std::string ReadLine(int fd) {
+  std::string line;
+  char c;
+  while (::recv(fd, &c, 1, 0) == 1) {
+    if (c == '\n') return line;
+    line += c;
+  }
+  return "";
+}
+
+// Writes as much of `bytes` as the peer takes before it closes.
+void SendAll(int fd, const std::string& bytes) {
+  size_t off = 0;
+  while (off < bytes.size()) {
+    const ssize_t n =
+        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
+    if (n <= 0) return;
+    off += static_cast<size_t>(n);
+  }
+}
+
+// A line nested far deeper than the parser's stack allows, and a line
+// longer than kMaxWireLineBytes, each get an id-0 error; neither stops
+// the server.
+TEST(WireServerTest, HostileLinesDoNotStopTheServer) {
+  auto server = QueryServer::Create(QueryServerConfig{});
+  ASSERT_TRUE(server.ok());
+  const std::string socket_path = UniqueSocketPath("hostile");
+  auto wire = WireServer::Start(server->get(), socket_path);
+  ASSERT_TRUE(wire.ok()) << wire.status();
+
+  const int deep = ConnectWithTimeout(socket_path, 5000);
+  ASSERT_GE(deep, 0) << std::strerror(errno);
+  SendAll(deep, std::string(100000, '[') + "\n");
+  auto refused = WireResponse::Parse(ReadLine(deep));
+  ASSERT_TRUE(refused.ok()) << refused.status();
+  EXPECT_EQ(refused->id, 0u);
+  EXPECT_FALSE(refused->ok);
+  EXPECT_NE(refused->message.find("nesting"), std::string::npos)
+      << refused->message;
+  EXPECT_TRUE(Pings(deep)) << "a refused line keeps its connection";
+  ::close(deep);
+
+  const int longline = ConnectWithTimeout(socket_path, 5000);
+  ASSERT_GE(longline, 0) << std::strerror(errno);
+  SendAll(longline, std::string(kMaxWireLineBytes + 1, ' '));
+  auto too_long = WireResponse::Parse(ReadLine(longline));
+  ASSERT_TRUE(too_long.ok()) << too_long.status();
+  EXPECT_EQ(too_long->id, 0u);
+  EXPECT_FALSE(too_long->ok);
+  EXPECT_NE(too_long->message.find("longer than"), std::string::npos)
+      << too_long->message;
+  char byte;
+  EXPECT_EQ(::recv(longline, &byte, 1, 0), 0) << "the connection stays open";
+  ::close(longline);
+
+  const int fresh = ConnectWithTimeout(socket_path, 5000);
+  ASSERT_GE(fresh, 0) << std::strerror(errno);
+  EXPECT_TRUE(Pings(fresh));
+  ::close(fresh);
+}
+
 TEST(WireServerTest, StartValidatesArguments) {
   EXPECT_FALSE(WireServer::Start(nullptr, "/tmp/x.sock").ok());
   auto server = QueryServer::Create(QueryServerConfig{});

@@ -54,7 +54,9 @@
 #                             # serve/client NDJSON round trip over a
 #                             # real Unix socket, in which a count with
 #                             # an out-of-domain value is refused and
-#                             # charges nothing
+#                             # charges nothing, and a deeply nested line
+#                             # and an over-long line are refused while a
+#                             # new connection still gets its pong
 #   tools/check.sh obs        # Telemetry smoke: runs the event-log / trace /
 #                             # exposition / run-report tests, drives
 #                             # ireduct_tool with --report-out/--events-out/
@@ -277,6 +279,32 @@ if [ "$mode" = service ]; then
     grep -q '"remaining"'
   # The journal the server kept must already hold both grants.
   grep -c '"type":"grant"' "$out_dir/journals/smoke.journal" | grep -qx 2
+  # Hostile lines, each on its own connection: one nested 100,000 levels
+  # deep, one longer than the 1 MiB line limit. Each gets an id-0 error,
+  # and the server keeps answering on new connections.
+  python3 - "$sock" <<'PY'
+import socket
+import sys
+
+for line in (b"[" * 100000 + b"\n", b" " * ((1 << 20) + 1)):
+    conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    conn.settimeout(10)
+    conn.connect(sys.argv[1])
+    try:
+        conn.sendall(line)
+    except OSError:
+        pass  # the server closed an over-long line's connection mid-send
+    reply = b""
+    while not reply.endswith(b"\n"):
+        chunk = conn.recv(4096)
+        if not chunk:
+            break
+        reply += chunk
+    conn.close()
+    if not reply.startswith(b'{"id":0,"ok":false'):
+        sys.exit("service smoke: hostile line not refused: %r" % reply[:200])
+PY
+  "$tool" client --socket "$sock" --op ping | grep -q '"pong":true'
   kill "$serve_pid"
   wait "$serve_pid"
   serve_pid=""
