@@ -1,17 +1,13 @@
 #include "dp/checkpoint.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <bit>
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <utility>
 
 #include "common/fault.h"
+#include "common/file.h"
 #include "common/hash.h"
 #include "dp/ledger_journal.h"
 #include "obs/event_log.h"
@@ -23,30 +19,12 @@ namespace ireduct {
 
 namespace {
 
-std::string ErrnoMessage(const std::string& what, const std::string& path) {
-  return what + " '" + path + "': " + std::strerror(errno);
-}
-
 void WriteDoubleArray(obs::JsonWriter* json, std::string_view key,
                       const std::vector<double>& values) {
   json->Key(key);
   json->BeginArray();
   for (const double v : values) json->Double(v);
   json->EndArray();
-}
-
-Status WriteAll(int fd, std::string_view data, const std::string& path) {
-  size_t written = 0;
-  while (written < data.size()) {
-    const ssize_t n =
-        ::write(fd, data.data() + written, data.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(ErrnoMessage("writing checkpoint", path));
-    }
-    written += static_cast<size_t>(n);
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -225,21 +203,7 @@ Status FileCheckpointSink::Write(const RunCheckpoint& checkpoint) {
     record.resize(std::min<size_t>(fault.truncate_bytes, record.size()));
   }
 
-  const std::string tmp = path_ + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return Status::IoError(ErrnoMessage("creating checkpoint", tmp));
-  }
-  Status write_status = WriteAll(fd, record, tmp);
-  if (write_status.ok() && ::fsync(fd) != 0) {
-    write_status = Status::IoError(ErrnoMessage("fsyncing checkpoint", tmp));
-  }
-  ::close(fd);
-  IREDUCT_RETURN_NOT_OK(write_status);
-  if (::rename(tmp.c_str(), path_.c_str()) != 0) {
-    return Status::IoError(ErrnoMessage("renaming checkpoint into", path_));
-  }
-  IREDUCT_RETURN_NOT_OK(SyncParentDir(path_));
+  IREDUCT_RETURN_NOT_OK(WriteFileDurably(path_, record));
   if (fault.action == FaultAction::kTruncate) {
     return Status::IoError("injected fault: checkpoint write truncated");
   }
@@ -260,25 +224,7 @@ Status FileCheckpointSink::Write(const RunCheckpoint& checkpoint) {
 }
 
 Result<RunCheckpoint> FileCheckpointSink::Load(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Status::IoError(ErrnoMessage("opening checkpoint", path));
-  }
-  std::string contents;
-  char buffer[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buffer, sizeof(buffer));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const Status status =
-          Status::IoError(ErrnoMessage("reading checkpoint", path));
-      ::close(fd);
-      return status;
-    }
-    if (n == 0) break;
-    contents.append(buffer, static_cast<size_t>(n));
-  }
-  ::close(fd);
+  IREDUCT_ASSIGN_OR_RETURN(std::string contents, ReadFile(path));
   while (!contents.empty() &&
          (contents.back() == '\n' || contents.back() == '\r')) {
     contents.pop_back();

@@ -23,9 +23,12 @@
 //    be an over-estimate, never an under-estimate.
 //
 // Checkpoint files are single sealed JSON records (see
-// dp/ledger_journal.h's SealJsonRecord) written atomically via
-// tmp + fsync + rename, so a crash mid-write never corrupts the previous
-// checkpoint.
+// dp/ledger_journal.h's SealJsonRecord) written with common/file.h's
+// WriteFileDurably (tmp + fsync + rename + directory fsync), so a crash
+// mid-write never corrupts the previous checkpoint. The journal beside
+// them opens and resumes through CreateJournaledAccountant and
+// ResumeJournaledAccountant (dp/ledger_journal.h), the one lifecycle that
+// the query server and `ireduct_tool marginals --journal/--resume` share.
 #ifndef IREDUCT_DP_CHECKPOINT_H_
 #define IREDUCT_DP_CHECKPOINT_H_
 
@@ -110,11 +113,10 @@ class CheckpointSink {
   virtual Status Write(const RunCheckpoint& checkpoint) = 0;
 };
 
-/// Atomic single-file sink: serialize to `path + ".tmp"`, fsync, rename
-/// over `path`, fsync the directory. A crash mid-write leaves the previous
-/// checkpoint intact. Fault point "checkpoint.write": kFail writes
-/// nothing; kTruncate renames a truncated record into place (a corrupt
-/// checkpoint, which Load refuses).
+/// Atomic single-file sink (WriteFileDurably). A crash mid-write leaves
+/// the previous checkpoint intact. Fault point "checkpoint.write": kFail
+/// writes nothing; kTruncate renames a truncated record into place (a
+/// corrupt checkpoint, which Load refuses).
 class FileCheckpointSink : public CheckpointSink {
  public:
   explicit FileCheckpointSink(std::string path) : path_(std::move(path)) {}

@@ -1,19 +1,20 @@
 #include "dp/ledger_journal.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "common/fault.h"
+#include "common/file.h"
 #include "common/hash.h"
+#include "common/logging.h"
 #include "obs/event_log.h"
 #include "obs/json.h"
 #include "obs/log.h"
@@ -26,10 +27,6 @@ namespace {
 constexpr std::string_view kCrcMember = ",\"crc\":\"";
 constexpr uint64_t kJournalVersion = 1;
 constexpr std::string_view kTornLabel = "torn grant (unconfirmed)";
-
-std::string ErrnoMessage(const std::string& what, const std::string& path) {
-  return what + " '" + path + "': " + std::strerror(errno);
-}
 
 std::string OpenRecordBody(double budget) {
   std::string body;
@@ -110,40 +107,22 @@ bool SalvageTornEpsilon(std::string_view partial, double* epsilon) {
   return true;
 }
 
-Status WriteAll(int fd, std::string_view data, const std::string& path) {
-  size_t written = 0;
-  while (written < data.size()) {
-    const ssize_t n =
-        ::write(fd, data.data() + written, data.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(ErrnoMessage("writing journal", path));
-    }
-    written += static_cast<size_t>(n);
-  }
-  return Status::OK();
+// The accountant that `journal` already records, attached to it. Both
+// live on the heap, so the attachment survives moves of the holder.
+JournaledAccountant Attach(LedgerJournal journal, PrivacyAccountant accountant,
+                           size_t recovered_grants) {
+  JournaledAccountant out;
+  out.journal = std::make_unique<LedgerJournal>(std::move(journal));
+  out.accountant = std::make_unique<PrivacyAccountant>(std::move(accountant));
+  out.accountant->AttachJournal(out.journal.get());
+  out.recovered_grants = recovered_grants;
+  return out;
 }
 
 }  // namespace
 
-Status SyncParentDir(const std::string& path) {
-  const size_t slash = path.rfind('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash + 1);
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) {
-    return Status::IoError(ErrnoMessage("opening directory", dir));
-  }
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0) {
-    return Status::IoError(ErrnoMessage("fsyncing directory", dir));
-  }
-  return Status::OK();
-}
-
 std::string SealJsonRecord(const std::string& body) {
+  IREDUCT_CHECK(!body.empty());
   char hex[9];
   std::snprintf(hex, sizeof(hex), "%08x", Crc32(body));
   std::string record(body.begin(), body.end() - 1);  // drop closing '}'
@@ -187,7 +166,7 @@ Result<LedgerJournal> LedgerJournal::Create(const std::string& path,
   }
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
-    return Status::IoError(ErrnoMessage("creating journal", path));
+    return ErrnoError("creating journal", path);
   }
   LedgerJournal journal(path, fd, 1);
   IREDUCT_RETURN_NOT_OK(
@@ -205,7 +184,7 @@ Result<LedgerJournal> LedgerJournal::OpenForAppend(const std::string& path) {
   }
   const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND, 0644);
   if (fd < 0) {
-    return Status::IoError(ErrnoMessage("opening journal", path));
+    return ErrnoError("opening journal", path);
   }
   return LedgerJournal(path, fd,
                        static_cast<uint64_t>(recovered.charges.size()) + 1);
@@ -280,7 +259,7 @@ Status LedgerJournal::AppendDurable(const std::string& record) {
   }
   const auto fsync_start = std::chrono::steady_clock::now();
   if (::fsync(fd_) != 0) {
-    return poison(Status::IoError(ErrnoMessage("fsyncing journal", path_)));
+    return poison(ErrnoError("fsyncing journal", path_));
   }
   const auto done = std::chrono::steady_clock::now();
   IREDUCT_METRIC_COUNT("journal.appends", 1);
@@ -314,23 +293,7 @@ Status LedgerJournal::AppendGrant(std::string_view label, double epsilon) {
 
 Result<LedgerJournal::Recovered> LedgerJournal::Recover(
     const std::string& path) {
-  std::string contents;
-  {
-    FILE* file = std::fopen(path.c_str(), "rb");
-    if (file == nullptr) {
-      return Status::IoError(ErrnoMessage("reading journal", path));
-    }
-    char buf[1 << 16];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), file)) > 0) {
-      contents.append(buf, n);
-    }
-    const bool read_error = std::ferror(file) != 0;
-    std::fclose(file);
-    if (read_error) {
-      return Status::IoError(ErrnoMessage("reading journal", path));
-    }
-  }
+  IREDUCT_ASSIGN_OR_RETURN(const std::string contents, ReadFile(path));
   if (contents.empty()) {
     return Status::IoError("journal '" + path + "' is empty");
   }
@@ -426,16 +389,42 @@ Result<LedgerJournal> LedgerJournal::RewriteCompacted(
     ::unlink(tmp.c_str());  // don't leak a half-written rewrite
     return written;
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    Status renamed = Status::IoError(ErrnoMessage("renaming journal", path));
-    ::unlink(tmp.c_str());
-    return renamed;
-  }
-  // Make the rename itself durable: without the directory fsync a crash
-  // here could resurrect the pre-compaction torn journal after the caller
-  // was told its liability is sealed.
-  IREDUCT_RETURN_NOT_OK(SyncParentDir(path));
+  // Durable rename: a crash must not resurrect the pre-compaction torn
+  // journal after the caller was told its liability is sealed.
+  IREDUCT_RETURN_NOT_OK(RenameDurably(tmp, path));
   return OpenForAppend(path);
+}
+
+Result<JournaledAccountant> CreateJournaledAccountant(const std::string& path,
+                                                      double budget) {
+  if (struct stat st; ::stat(path.c_str(), &st) == 0) {
+    return Status::FailedPrecondition(
+        "journal '" + path +
+        "' already exists; resume it to continue that ledger, or delete "
+        "the file to explicitly discard it");
+  }
+  IREDUCT_RETURN_NOT_OK(MakeParentDirs(path));
+  IREDUCT_ASSIGN_OR_RETURN(PrivacyAccountant accountant,
+                           PrivacyAccountant::Create(budget));
+  IREDUCT_ASSIGN_OR_RETURN(LedgerJournal journal,
+                           LedgerJournal::Create(path, budget));
+  return Attach(std::move(journal), std::move(accountant), 0);
+}
+
+Result<JournaledAccountant> ResumeJournaledAccountant(const std::string& path) {
+  IREDUCT_ASSIGN_OR_RETURN(const LedgerJournal::Recovered recovered,
+                           LedgerJournal::Recover(path));
+  IREDUCT_ASSIGN_OR_RETURN(PrivacyAccountant accountant,
+                           LedgerJournal::Replay(recovered));
+  // Nothing may be appended after a torn tail; compaction rewrites the
+  // recovered state, torn liability included, as a CRC-valid journal.
+  IREDUCT_ASSIGN_OR_RETURN(
+      LedgerJournal journal,
+      recovered.torn_tail
+          ? LedgerJournal::RewriteCompacted(path, recovered)
+          : LedgerJournal::OpenForAppend(path));
+  return Attach(std::move(journal), std::move(accountant),
+                recovered.charges.size());
 }
 
 }  // namespace ireduct

@@ -28,6 +28,7 @@
 #define IREDUCT_DP_LEDGER_JOURNAL_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -121,14 +122,33 @@ class LedgerJournal {
   bool poisoned_ = false;
 };
 
-/// fsyncs the directory containing `path`, making a just-completed rename
-/// into that directory durable. Shared by the journal-compaction and
-/// checkpoint rename paths.
-Status SyncParentDir(const std::string& path);
+/// An accountant whose every charge is journaled before it is admitted.
+struct JournaledAccountant {
+  std::unique_ptr<LedgerJournal> journal;
+  /// Already attached to `journal`.
+  std::unique_ptr<PrivacyAccountant> accountant;
+  /// Grants the journal held when it was opened, a torn tail included; 0
+  /// for a new journal.
+  size_t recovered_grants = 0;
+};
+
+/// Starts a new journaled ledger with the given budget at `path`, making
+/// its missing parent directories. Refuses (kFailedPrecondition) when a
+/// file exists there: truncating a crashed ledger would double-spend its
+/// ε, so it must be resumed or deleted explicitly.
+Result<JournaledAccountant> CreateJournaledAccountant(const std::string& path,
+                                                      double budget);
+
+/// Reopens the journal at `path` after a crash or a clean stop: Recover,
+/// Replay, then RewriteCompacted when it ends in a torn grant (counted as
+/// spent) and OpenForAppend otherwise. The query server's sessions and
+/// `ireduct_tool marginals --journal/--resume` open and resume through this
+/// pair, so they share one lifecycle.
+Result<JournaledAccountant> ResumeJournaledAccountant(const std::string& path);
 
 /// Seals a complete JSON object into a self-checking record by splicing a
 /// `"crc"` member (the CRC-32 of `body`) in as its final member. Shared by
-/// journal records and checkpoint files.
+/// journal records and checkpoint files. `body` must not be empty.
 std::string SealJsonRecord(const std::string& body);
 
 /// Reverses SealJsonRecord: verifies the CRC and returns the body without

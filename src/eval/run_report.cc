@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 
+#include "common/file.h"
 #include "eval/metrics.h"
 #include "eval/table_printer.h"
 #include "obs/json.h"
@@ -225,15 +225,7 @@ void RunReport::PrintTable(std::ostream& os) const {
 }
 
 Status RunReport::WriteFile(const std::string& path) const {
-  std::ofstream file(path, std::ios::binary | std::ios::trunc);
-  if (!file) {
-    return Status::IoError("opening run report '" + path + "'");
-  }
-  file << ToJson() << '\n';
-  if (!file.flush()) {
-    return Status::IoError("writing run report '" + path + "'");
-  }
-  return Status::OK();
+  return WriteFileDurably(path, ToJson() + '\n');
 }
 
 }  // namespace ireduct

@@ -89,7 +89,7 @@ class RunReport {
   /// Human-readable section/field/value table via eval/table_printer.
   void PrintTable(std::ostream& os) const;
 
-  /// Writes ToJson() plus a trailing newline to `path` (truncating).
+  /// Replaces `path` with ToJson() and a newline (WriteFileDurably).
   Status WriteFile(const std::string& path) const;
 
  private:

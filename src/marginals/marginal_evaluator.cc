@@ -23,6 +23,26 @@ namespace {
 // striping is a perf mode, not a semantic one.
 constexpr size_t kMaxStripedCells = size_t{1} << 21;
 
+// Shards for a pass over `rows` rows: one per worker, but never shards so
+// small that the per-shard accumulator allocation dominates — and never
+// more shards than the machine has cores. A pool can legitimately be wider
+// than the CPU (callers size pools for their workload, not this pass), but
+// extra shards on an oversubscribed machine are pure overhead: each one is
+// a full accumulator block to allocate, fill, and merge with zero added
+// parallelism. That overhead is exactly what pushed the fig08/09
+// end-to-end run below 1x on single-core CI runners. Shard *count* only
+// affects wall-clock: cell counts are integers, so merging shard blocks in
+// any grouping yields the same totals and the final double tables are
+// bit-identical to the sequential pass.
+size_t NumShards(const ThreadPool* pool, size_t rows) {
+  if (pool == nullptr || pool->num_threads() <= 1) return 1;
+  constexpr size_t kMinRowsPerShard = 1024;
+  size_t hw = std::thread::hardware_concurrency();
+  if (hw == 0) hw = pool->num_threads();
+  return std::min<size_t>(std::min<size_t>(pool->num_threads(), hw),
+                          std::max<size_t>(1, rows / kMinRowsPerShard));
+}
+
 }  // namespace
 
 Result<MarginalSetEvaluator> MarginalSetEvaluator::Create(
@@ -82,16 +102,45 @@ Result<MarginalSetEvaluator> MarginalSetEvaluator::Create(
   return evaluator;
 }
 
-void MarginalSetEvaluator::CountShard(const Dataset& dataset,
-                                      std::span<const uint32_t> rows,
-                                      size_t begin, size_t end,
-                                      uint32_t* counts) const {
-  // Raw column pointers for the referenced attributes only.
-  std::vector<const uint16_t*> cols;
-  cols.reserve(columns_.size());
-  for (uint32_t c : columns_) cols.push_back(dataset.column(c).data());
-  CountColumns(cols.data(), rows.empty() ? nullptr : rows.data(), begin, end,
-               counts);
+Status MarginalSetEvaluator::CheckSchema(const Schema& schema) const {
+  if (schema.num_attributes() < num_schema_attributes_) {
+    return Status::InvalidArgument(
+        "data has fewer attributes than the evaluation plan");
+  }
+  for (const SpecPlan& plan : plans_) {
+    for (size_t i = 0; i < plan.spec.attributes.size(); ++i) {
+      if (schema.attribute(plan.spec.attributes[i]).domain_size !=
+          plan.domain_sizes[i]) {
+        return Status::InvalidArgument(
+            "data domain sizes do not match the evaluation plan");
+      }
+    }
+  }
+  return Status::OK();
+}
+
+Result<std::vector<Marginal>> MarginalSetEvaluator::ToMarginals(
+    const std::vector<std::vector<uint32_t>>& shard_counts) const {
+  // Fixed shard order; with integer counts any order gives the same sum.
+  std::vector<uint64_t> totals(total_cells_, 0);
+  for (const std::vector<uint32_t>& counts : shard_counts) {
+    for (size_t c = 0; c < total_cells_; ++c) totals[c] += counts[c];
+  }
+  std::vector<Marginal> marginals;
+  marginals.reserve(plans_.size());
+  for (const SpecPlan& plan : plans_) {
+    std::vector<double> counts(plan.cells);
+    for (size_t c = 0; c < plan.cells; ++c) {
+      // Integer-valued, < 2^53: exactly the double the sequential += 1.0
+      // accumulation of Marginal::Compute produces.
+      counts[c] = static_cast<double>(totals[plan.offset + c]);
+    }
+    IREDUCT_ASSIGN_OR_RETURN(
+        Marginal m, Marginal::FromCounts(plan.spec, plan.domain_sizes,
+                                         std::move(counts)));
+    marginals.push_back(std::move(m));
+  }
+  return marginals;
 }
 
 void MarginalSetEvaluator::CountColumns(const uint16_t* const* cols,
@@ -145,19 +194,7 @@ void MarginalSetEvaluator::CountColumns(const uint16_t* const* cols,
 Result<std::vector<Marginal>> MarginalSetEvaluator::Compute(
     const Dataset& dataset, std::span<const uint32_t> rows,
     ThreadPool* pool) const {
-  if (dataset.schema().num_attributes() < num_schema_attributes_) {
-    return Status::InvalidArgument(
-        "dataset has fewer attributes than the evaluation plan");
-  }
-  for (const SpecPlan& plan : plans_) {
-    for (size_t i = 0; i < plan.spec.attributes.size(); ++i) {
-      if (dataset.schema().attribute(plan.spec.attributes[i]).domain_size !=
-          plan.domain_sizes[i]) {
-        return Status::InvalidArgument(
-            "dataset domain sizes do not match the evaluation plan");
-      }
-    }
-  }
+  IREDUCT_RETURN_NOT_OK(CheckSchema(dataset.schema()));
   const size_t n = rows.empty() ? dataset.num_rows() : rows.size();
   for (uint32_t r : rows) {
     if (r >= dataset.num_rows()) {
@@ -171,45 +208,30 @@ Result<std::vector<Marginal>> MarginalSetEvaluator::Compute(
   IREDUCT_METRIC_COUNT("marginals.fused_rows", n);
   const auto pass_start = std::chrono::steady_clock::now();
 
-  // One shard per worker, but never shards so small that the per-shard
-  // accumulator allocation dominates — and never more shards than the
-  // machine has cores. A pool can legitimately be wider than the CPU
-  // (callers size pools for their workload, not this pass), but extra
-  // shards on an oversubscribed machine are pure overhead: each one is a
-  // full accumulator block to allocate, fill, and merge with zero added
-  // parallelism. That overhead is exactly what pushed the fig08/09
-  // end-to-end run below 1x on single-core CI runners. Shard *count* only
-  // affects wall-clock: cell counts are integers, so merging shard blocks
-  // in any grouping yields the same totals and the final double tables are
-  // bit-identical to the sequential pass.
-  size_t num_shards = 1;
-  if (pool != nullptr && pool->num_threads() > 1) {
-    constexpr size_t kMinRowsPerShard = 1024;
-    size_t hw = std::thread::hardware_concurrency();
-    if (hw == 0) hw = pool->num_threads();
-    num_shards = std::min<size_t>(
-        std::min<size_t>(pool->num_threads(), hw),
-        std::max<size_t>(1, n / kMinRowsPerShard));
-  }
+  // Raw column pointers for the referenced attributes only.
+  std::vector<const uint16_t*> cols;
+  cols.reserve(columns_.size());
+  for (uint32_t c : columns_) cols.push_back(dataset.column(c).data());
+  const uint32_t* row_idx = rows.empty() ? nullptr : rows.data();
 
-  std::vector<uint64_t> totals(total_cells_, 0);
-  if (num_shards <= 1) {
-    std::vector<uint32_t> counts(total_cells_, 0);
-    CountShard(dataset, rows, 0, n, counts.data());
-    for (size_t c = 0; c < total_cells_; ++c) totals[c] = counts[c];
+  const size_t num_shards = NumShards(pool, n);
+  std::vector<std::vector<uint32_t>> shard_counts(num_shards);
+  if (num_shards == 1) {
+    shard_counts[0].assign(total_cells_, 0);
+    CountColumns(cols.data(), row_idx, 0, n, shard_counts[0].data());
   } else {
-    std::vector<std::vector<uint32_t>> shard_counts(num_shards);
     // Each worker writes only its own slot, so the timing vector needs no
     // lock; it is read after Wait() establishes the happens-before edge.
     std::vector<double> shard_seconds(num_shards, 0);
     for (size_t s = 0; s < num_shards; ++s) {
       const size_t begin = n * s / num_shards;
       const size_t end = n * (s + 1) / num_shards;
-      pool->Submit([this, &dataset, rows, begin, end, &shard_counts,
+      pool->Submit([this, &cols, row_idx, begin, end, &shard_counts,
                     &shard_seconds, s] {
         const auto shard_start = std::chrono::steady_clock::now();
         shard_counts[s].assign(total_cells_, 0);
-        CountShard(dataset, rows, begin, end, shard_counts[s].data());
+        CountColumns(cols.data(), row_idx, begin, end,
+                     shard_counts[s].data());
         shard_seconds[s] = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - shard_start)
                                .count();
@@ -229,27 +251,9 @@ Result<std::vector<Marginal>> MarginalSetEvaluator::Compute(
       IREDUCT_METRIC_GAUGE_SET("marginals.shard_imbalance",
                                max_seconds / mean_seconds);
     }
-    // Fixed shard order; with integer counts any order gives the same sum.
-    for (size_t s = 0; s < num_shards; ++s) {
-      const uint32_t* src = shard_counts[s].data();
-      for (size_t c = 0; c < total_cells_; ++c) totals[c] += src[c];
-    }
   }
-
-  std::vector<Marginal> marginals;
-  marginals.reserve(plans_.size());
-  for (const SpecPlan& plan : plans_) {
-    std::vector<double> counts(plan.cells);
-    for (size_t c = 0; c < plan.cells; ++c) {
-      // Integer-valued, < 2^53: exactly the double the sequential += 1.0
-      // accumulation of Marginal::Compute produces.
-      counts[c] = static_cast<double>(totals[plan.offset + c]);
-    }
-    IREDUCT_ASSIGN_OR_RETURN(
-        Marginal m, Marginal::FromCounts(plan.spec, plan.domain_sizes,
-                                         std::move(counts)));
-    marginals.push_back(std::move(m));
-  }
+  IREDUCT_ASSIGN_OR_RETURN(std::vector<Marginal> marginals,
+                           ToMarginals(shard_counts));
   const double pass_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     pass_start)
@@ -263,20 +267,7 @@ Result<std::vector<Marginal>> MarginalSetEvaluator::Compute(
 
 Result<std::vector<Marginal>> MarginalSetEvaluator::ComputeStreaming(
     const ColumnarFile& file, ThreadPool* pool) const {
-  const Schema& schema = file.schema();
-  if (schema.num_attributes() < num_schema_attributes_) {
-    return Status::InvalidArgument(
-        "columnar file has fewer attributes than the evaluation plan");
-  }
-  for (const SpecPlan& plan : plans_) {
-    for (size_t i = 0; i < plan.spec.attributes.size(); ++i) {
-      if (schema.attribute(plan.spec.attributes[i]).domain_size !=
-          plan.domain_sizes[i]) {
-        return Status::InvalidArgument(
-            "columnar file domain sizes do not match the evaluation plan");
-      }
-    }
-  }
+  IREDUCT_RETURN_NOT_OK(CheckSchema(file.schema()));
   const uint64_t n = file.num_rows();
   const uint32_t num_blocks = file.num_blocks();
   const size_t block_rows = file.block_rows();
@@ -288,15 +279,7 @@ Result<std::vector<Marginal>> MarginalSetEvaluator::ComputeStreaming(
   const auto pass_start = std::chrono::steady_clock::now();
 
   // Same shard clamp as Compute, against the rows of one (full) block.
-  size_t num_shards = 1;
-  if (pool != nullptr && pool->num_threads() > 1) {
-    constexpr size_t kMinRowsPerShard = 1024;
-    size_t hw = std::thread::hardware_concurrency();
-    if (hw == 0) hw = pool->num_threads();
-    num_shards =
-        std::min<size_t>(std::min<size_t>(pool->num_threads(), hw),
-                         std::max<size_t>(1, block_rows / kMinRowsPerShard));
-  }
+  const size_t num_shards = NumShards(pool, block_rows);
 
   // Double-buffered block decode: while shard jobs count block b out of
   // one slot, a decode job fills the other slot with block b+1; the
@@ -358,24 +341,8 @@ Result<std::vector<Marginal>> MarginalSetEvaluator::ComputeStreaming(
     }
   }
 
-  std::vector<uint64_t> totals(total_cells_, 0);
-  for (size_t s = 0; s < num_shards; ++s) {
-    const uint32_t* src = shard_counts[s].data();
-    for (size_t c = 0; c < total_cells_; ++c) totals[c] += src[c];
-  }
-
-  std::vector<Marginal> marginals;
-  marginals.reserve(plans_.size());
-  for (const SpecPlan& plan : plans_) {
-    std::vector<double> counts(plan.cells);
-    for (size_t c = 0; c < plan.cells; ++c) {
-      counts[c] = static_cast<double>(totals[plan.offset + c]);
-    }
-    IREDUCT_ASSIGN_OR_RETURN(
-        Marginal m, Marginal::FromCounts(plan.spec, plan.domain_sizes,
-                                         std::move(counts)));
-    marginals.push_back(std::move(m));
-  }
+  IREDUCT_ASSIGN_OR_RETURN(std::vector<Marginal> marginals,
+                           ToMarginals(shard_counts));
   const double pass_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     pass_start)

@@ -82,10 +82,14 @@ class MarginalSetEvaluator {
 
   MarginalSetEvaluator() = default;
 
-  // Counts `rows[begin..end)` (or raw row range when `rows` is empty) into
-  // `counts` (size total_cells_).
-  void CountShard(const Dataset& dataset, std::span<const uint32_t> rows,
-                  size_t begin, size_t end, uint32_t* counts) const;
+  // kInvalidArgument unless `schema` has the planned attributes with the
+  // planned domain sizes.
+  Status CheckSchema(const Schema& schema) const;
+
+  // Merges per-shard counts (each of size total_cells_) in shard order and
+  // builds one table per plan.
+  Result<std::vector<Marginal>> ToMarginals(
+      const std::vector<std::vector<uint32_t>>& shard_counts) const;
 
   // Shared counting core: `cols[i]` is the code pointer for columns_[i]
   // (a full dataset column, or one decoded block in the streaming pass).

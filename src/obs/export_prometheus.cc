@@ -1,10 +1,10 @@
 #include "obs/export_prometheus.h"
 
 #include <cctype>
-#include <fstream>
 #include <map>
 #include <string_view>
 
+#include "common/file.h"
 #include "obs/json.h"
 
 namespace ireduct {
@@ -18,6 +18,8 @@ namespace {
 std::string_view MetricHelp(std::string_view name) {
   static const std::map<std::string_view, std::string_view>* help =
       new std::map<std::string_view, std::string_view>{
+          {"arena.chunk_allocs", "Scratch-arena chunks allocated"},
+          {"arena.reserved_bytes", "Bytes reserved by scratch-arena chunks"},
           {"bench.mechanism_runs", "Mechanism invocations by the bench harness"},
           {"checkpoint.bytes", "Serialized checkpoint payload size"},
           {"checkpoint.last_round", "Round index of the last checkpoint written"},
@@ -55,6 +57,10 @@ std::string_view MetricHelp(std::string_view name) {
           {"marginals.rows_per_second", "Rows/s of the last fused marginal pass"},
           {"marginals.shard_imbalance", "Max/mean shard time ratio of the last fused pass"},
           {"marginals.shard_seconds", "Per-shard fused marginal pass latency"},
+          {"marginals.streaming_passes", "Out-of-core marginal passes over columnar files"},
+          {"marginals.streaming_rows", "Rows scanned by out-of-core marginal passes"},
+          {"marginals.streaming_rows_per_second", "Rows/s of the last out-of-core marginal pass"},
+          {"marginals.streaming_seconds", "Out-of-core marginal pass latency"},
           {"noise_down.envelope_draws", "NoiseDown rejection-sampler envelope draws"},
           {"noise_down.rejection_rounds", "NoiseDown rejection-sampler rounds"},
           {"noise_down.samples", "NoiseDown correlated re-samples"},
@@ -62,6 +68,14 @@ std::string_view MetricHelp(std::string_view name) {
           {"noise_down_chain.starts", "NoiseDown chains started"},
           {"privacy.charges", "Privacy-accountant charges recorded"},
           {"privacy.epsilon_spent", "Cumulative epsilon spent by the accountant"},
+          {"server.admitted", "Query-server requests admitted to the queue"},
+          {"server.batch_width", "Requests per query-server dispatcher batch"},
+          {"server.batches", "Query-server dispatcher batches run"},
+          {"server.queue_depth", "Query-server requests queued and not yet dispatched"},
+          {"server.request_seconds", "Query-server Phase B time per request (no queue wait)"},
+          {"server.shed_queue_full", "Query-server requests shed because the queue was full"},
+          {"server.shed_tenant_cap", "Query-server requests shed at the per-tenant in-flight cap"},
+          {"server.tenants", "Tenants open on the query server"},
           {"session.count_queries", "Private-session count queries served"},
           {"session.epsilon_remaining", "Epsilon remaining in the session budget"},
           {"session.marginal_releases", "Private-session marginal releases served"},
@@ -172,16 +186,7 @@ std::string ExportPrometheusGlobal() {
 }
 
 Status WritePrometheusFile(const std::string& path) {
-  const std::string text = ExportPrometheusGlobal();
-  std::ofstream file(path, std::ios::binary | std::ios::trunc);
-  if (!file) {
-    return Status::IoError("opening prometheus export '" + path + "'");
-  }
-  file << text;
-  if (!file.flush()) {
-    return Status::IoError("writing prometheus export '" + path + "'");
-  }
-  return Status::OK();
+  return WriteFileDurably(path, ExportPrometheusGlobal());
 }
 
 }  // namespace obs

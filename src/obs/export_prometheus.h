@@ -34,7 +34,8 @@ std::string ExportPrometheus(const MetricsSnapshot& snapshot);
 /// ExportPrometheus(MetricsRegistry::Global().Snapshot()).
 std::string ExportPrometheusGlobal();
 
-/// Writes ExportPrometheusGlobal() to `path` (truncating).
+/// Replaces `path` with ExportPrometheusGlobal() (WriteFileDurably), so a
+/// scraper that reads the file mid-write sees the old or the new text.
 Status WritePrometheusFile(const std::string& path);
 
 }  // namespace obs

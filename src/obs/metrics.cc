@@ -279,6 +279,13 @@ void RegisterStandardMetrics() {
   registry.histogram("marginals.shard_seconds");
   registry.gauge("marginals.shard_imbalance");
   registry.gauge("marginals.rows_per_second");
+  registry.counter("marginals.streaming_passes");
+  registry.counter("marginals.streaming_rows");
+  registry.histogram("marginals.streaming_seconds");
+  registry.gauge("marginals.streaming_rows_per_second");
+  // Scratch arenas (common/arena.h).
+  registry.counter("arena.chunk_allocs");
+  registry.counter("arena.reserved_bytes");
   // Thread pool.
   registry.counter("thread_pool.tasks");
   registry.gauge("thread_pool.queue_depth");

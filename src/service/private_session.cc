@@ -1,10 +1,6 @@
 #include "service/private_session.h"
 
-#include <errno.h>
-#include <sys/stat.h>
-
 #include <cmath>
-#include <cstring>
 
 #include "algorithms/geometric.h"
 #include "common/hash.h"
@@ -33,24 +29,6 @@ class BudgetGaugeUpdater {
  private:
   const PrivacyAccountant* accountant_;
 };
-
-// mkdir -p for the directory part of `path`: a fresh tenant's journal
-// often lands under a per-tenant directory that does not exist yet, and
-// LedgerJournal::Create's open(O_CREAT) cannot invent intermediate
-// directories. Existing directories (including races with a concurrent
-// creator) are fine.
-Status EnsureParentDirectories(const std::string& path) {
-  size_t slash = path.find('/', path[0] == '/' ? 1 : 0);
-  while (slash != std::string::npos) {
-    const std::string dir = path.substr(0, slash);
-    if (!dir.empty() && ::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST) {
-      return Status::IoError("cannot create directory '" + dir +
-                             "': " + std::strerror(errno));
-    }
-    slash = path.find('/', slash + 1);
-  }
-  return Status::OK();
-}
 }  // namespace
 
 Result<PrivateQuerySession> PrivateQuerySession::Create(
@@ -71,24 +49,11 @@ Result<PrivateQuerySession> PrivateQuerySession::CreateWithJournal(
   if (dataset == nullptr) {
     return Status::InvalidArgument("dataset must not be null");
   }
-  // Truncating a crashed session's journal would erase its spent-ε record
-  // and double-spend the budget; an existing file must go through
-  // ResumeWithJournal (or be deleted explicitly).
-  if (struct stat st; ::stat(journal_path.c_str(), &st) == 0) {
-    return Status::FailedPrecondition(
-        "journal '" + journal_path +
-        "' already exists; use ResumeWithJournal to continue that "
-        "session, or delete the file to explicitly discard its ledger");
-  }
-  IREDUCT_RETURN_NOT_OK(EnsureParentDirectories(journal_path));
-  IREDUCT_ASSIGN_OR_RETURN(PrivacyAccountant accountant,
-                           PrivacyAccountant::Create(epsilon_budget));
-  IREDUCT_ASSIGN_OR_RETURN(LedgerJournal journal,
-                           LedgerJournal::Create(journal_path,
-                                                 epsilon_budget));
-  return PrivateQuerySession(
-      dataset, std::make_unique<PrivacyAccountant>(std::move(accountant)),
-      seed, std::make_unique<LedgerJournal>(std::move(journal)));
+  IREDUCT_ASSIGN_OR_RETURN(
+      JournaledAccountant journaled,
+      CreateJournaledAccountant(journal_path, epsilon_budget));
+  return PrivateQuerySession(dataset, std::move(journaled.accountant), seed,
+                             std::move(journaled.journal));
 }
 
 Result<PrivateQuerySession> PrivateQuerySession::ResumeWithJournal(
@@ -97,24 +62,8 @@ Result<PrivateQuerySession> PrivateQuerySession::ResumeWithJournal(
   if (dataset == nullptr) {
     return Status::InvalidArgument("dataset must not be null");
   }
-  IREDUCT_ASSIGN_OR_RETURN(const LedgerJournal::Recovered recovered,
-                           LedgerJournal::Recover(journal_path));
-  IREDUCT_ASSIGN_OR_RETURN(PrivacyAccountant accountant,
-                           LedgerJournal::Replay(recovered));
-  if (recovered.torn_tail) {
-    IREDUCT_LOG(kWarn) << "journal '" << journal_path
-                       << "' ended in a torn grant; counting its epsilon "
-                       << recovered.torn_epsilon
-                       << " as spent and compacting";
-  }
-  // A torn tail cannot be appended after; compaction rewrites the
-  // recovered state (torn liability included) as a fresh, fully
-  // CRC-valid journal.
-  IREDUCT_ASSIGN_OR_RETURN(
-      LedgerJournal journal,
-      recovered.torn_tail
-          ? LedgerJournal::RewriteCompacted(journal_path, recovered)
-          : LedgerJournal::OpenForAppend(journal_path));
+  IREDUCT_ASSIGN_OR_RETURN(JournaledAccountant journaled,
+                           ResumeJournaledAccountant(journal_path));
   // Every release follows a durable grant, so any resume point after a
   // release recovers more grants than the one before it: keying the
   // generator on the grant count gives each such point a fresh stream, and
@@ -122,11 +71,10 @@ Result<PrivateQuerySession> PrivateQuerySession::ResumeWithJournal(
   // already released (two answers with equal noise publish their exact
   // true difference). Resuming one journal with one seed stays
   // deterministic.
-  const uint64_t resume_seed =
-      Fnv1a64Int(Fnv1a64Int(kFnv1a64Basis, seed), recovered.charges.size());
-  return PrivateQuerySession(
-      dataset, std::make_unique<PrivacyAccountant>(std::move(accountant)),
-      resume_seed, std::make_unique<LedgerJournal>(std::move(journal)));
+  const uint64_t resume_seed = Fnv1a64Int(Fnv1a64Int(kFnv1a64Basis, seed),
+                                          journaled.recovered_grants);
+  return PrivateQuerySession(dataset, std::move(journaled.accountant),
+                             resume_seed, std::move(journaled.journal));
 }
 
 Result<double> PrivateQuerySession::CountQuery(const ConjunctiveQuery& query,

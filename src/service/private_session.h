@@ -56,25 +56,22 @@ class PrivateQuerySession {
                                             uint64_t seed);
 
   /// Like Create, but crash-safe: a fresh write-ahead ledger journal is
-  /// created at `journal_path` and every budget mutation is made durable
-  /// there *before* it becomes visible in the session (see
-  /// dp/ledger_journal.h). Missing parent directories of `journal_path`
-  /// are created (a fresh tenant under a new per-tenant directory must not
-  /// fail with ENOENT). Refuses (kFailedPrecondition) if a journal
-  /// already exists there — truncating a crashed session's ledger would
-  /// double-spend its ε; use ResumeWithJournal or delete the file.
+  /// created at `journal_path` (CreateJournaledAccountant: missing parent
+  /// directories are made, an existing file is refused with
+  /// kFailedPrecondition) and every budget mutation is made durable there
+  /// *before* it becomes visible in the session (see dp/ledger_journal.h).
   static Result<PrivateQuerySession> CreateWithJournal(
       const Dataset* dataset, double epsilon_budget, uint64_t seed,
       const std::string& journal_path);
 
   /// Reopens a journaled session after a crash. The journal at
-  /// `journal_path` is recovered — strict about corruption, conservative
-  /// about a torn final record, which counts as spent (and the journal is
-  /// compacted so appending can continue) — and the accountant resumes
-  /// with the recovered ledger. The recovered spend may exceed the budget;
-  /// such a session refuses all further charges. The generator is seeded
-  /// from `seed` and the number of recovered grants, never with `seed`
-  /// alone, so a resume never replays noise the session already released.
+  /// `journal_path` is recovered by ResumeJournaledAccountant — strict
+  /// about corruption, conservative about a torn final record, which
+  /// counts as spent — and the accountant resumes with the recovered
+  /// ledger. The recovered spend may exceed the budget; such a session
+  /// refuses all further charges. The generator is seeded from `seed` and
+  /// the number of recovered grants, never with `seed` alone, so a resume
+  /// never replays noise the session already released.
   static Result<PrivateQuerySession> ResumeWithJournal(
       const Dataset* dataset, uint64_t seed, const std::string& journal_path);
 
@@ -135,6 +132,7 @@ class PrivateQuerySession {
   BitGen& rng() { return gen_; }
 
  private:
+  // A journaled accountant arrives already attached to `journal`.
   PrivateQuerySession(const Dataset* dataset,
                       std::unique_ptr<PrivacyAccountant> accountant,
                       uint64_t seed,
@@ -142,9 +140,7 @@ class PrivateQuerySession {
       : dataset_(dataset),
         accountant_(std::move(accountant)),
         journal_(std::move(journal)),
-        gen_(seed) {
-    if (journal_ != nullptr) accountant_->AttachJournal(journal_.get());
-  }
+        gen_(seed) {}
 
   const Dataset* dataset_;
   std::unique_ptr<PrivacyAccountant> accountant_;

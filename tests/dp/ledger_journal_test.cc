@@ -436,5 +436,87 @@ TEST(LedgerJournalTest, TruncatedAppendLeavesRecoverableTornTail) {
   std::remove(path.c_str());
 }
 
+TEST(LedgerJournalDeathTest, SealJsonRecordRefusesAnEmptyBody) {
+  EXPECT_DEATH(SealJsonRecord(""), "body.empty");
+}
+
+TEST(JournaledAccountantTest, CreateMakesParentsAndAttachesTheJournal) {
+  const std::string dir = testing::TempDir() + "/ireduct_journaled_create";
+  const std::string path = dir + "/tenants/a.journal";
+  std::remove(path.c_str());
+  auto ledger = CreateJournaledAccountant(path, 1.0);
+  ASSERT_TRUE(ledger.ok()) << ledger.status().ToString();
+  EXPECT_EQ(ledger->recovered_grants, 0u);
+  ASSERT_TRUE(ledger->accountant->has_journal());
+  ASSERT_TRUE(ledger->accountant->Charge("q", 0.25).ok());
+  auto recovered = LedgerJournal::Recover(path);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->budget, 1.0);
+  ASSERT_EQ(recovered->charges.size(), 1u);
+  EXPECT_EQ(recovered->charges[0].label, "q");
+
+  // An existing journal is never truncated; the refusal names resume.
+  auto again = CreateJournaledAccountant(path, 1.0);
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(again.status().message().find("resume"), std::string::npos);
+  ASSERT_EQ(LedgerJournal::Recover(path)->charges.size(), 1u);
+  std::remove(path.c_str());
+}
+
+TEST(JournaledAccountantTest, ResumeContinuesACleanJournal) {
+  const std::string path = TestPath("resume_clean");
+  std::remove(path.c_str());
+  {
+    auto ledger = CreateJournaledAccountant(path, 1.0);
+    ASSERT_TRUE(ledger.ok());
+    ASSERT_TRUE(ledger->accountant->Charge("a", 0.25).ok());
+    ASSERT_TRUE(ledger->accountant->Charge("b", 0.125).ok());
+  }
+  auto ledger = ResumeJournaledAccountant(path);
+  ASSERT_TRUE(ledger.ok()) << ledger.status().ToString();
+  EXPECT_EQ(ledger->recovered_grants, 2u);
+  EXPECT_EQ(ledger->accountant->spent(), 0.375);
+  EXPECT_EQ(ledger->journal->next_seq(), 3u);
+  ASSERT_TRUE(ledger->accountant->Charge("c", 0.5).ok());
+  auto recovered = LedgerJournal::Recover(path);
+  ASSERT_TRUE(recovered.ok());
+  ASSERT_EQ(recovered->charges.size(), 3u);
+  EXPECT_EQ(recovered->charges[2].label, "c");
+  std::remove(path.c_str());
+}
+
+TEST(JournaledAccountantTest, ResumeCompactsATornTailAndCountsIt) {
+  const std::string path = TestPath("resume_torn");
+  std::remove(path.c_str());
+  {
+    auto ledger = CreateJournaledAccountant(path, 1.0);
+    ASSERT_TRUE(ledger.ok());
+    ASSERT_TRUE(ledger->accountant->Charge("kept", 0.25).ok());
+  }
+  WriteFile(path, ReadFile(path) +
+                      "{\"type\":\"grant\",\"seq\":2,\"epsilon\":0.5,\"lab");
+  auto ledger = ResumeJournaledAccountant(path);
+  ASSERT_TRUE(ledger.ok()) << ledger.status().ToString();
+  EXPECT_EQ(ledger->recovered_grants, 2u);
+  EXPECT_EQ(ledger->accountant->spent(), 0.75);
+  // The torn liability is now a complete record, and appends continue.
+  ASSERT_TRUE(ledger->accountant->Charge("after", 0.125).ok());
+  auto recovered = LedgerJournal::Recover(path);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_FALSE(recovered->torn_tail);
+  ASSERT_EQ(recovered->charges.size(), 3u);
+  EXPECT_EQ(recovered->charges[1].epsilon, 0.5);
+  EXPECT_EQ(recovered->charges[2].label, "after");
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+  std::remove(path.c_str());
+}
+
+TEST(JournaledAccountantTest, ResumeOfAMissingJournalIsAnIoError) {
+  auto ledger = ResumeJournaledAccountant(TestPath("resume_missing"));
+  ASSERT_FALSE(ledger.ok());
+  EXPECT_EQ(ledger.status().code(), StatusCode::kIoError);
+}
+
 }  // namespace
 }  // namespace ireduct

@@ -1,6 +1,7 @@
 #include "eval/run_report.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cmath>
 #include <cstdio>
@@ -144,6 +145,40 @@ TEST(RunReportTest, WriteFileRoundTrips) {
   read << in.rdbuf();
   EXPECT_EQ(read.str(), report.ToJson() + "\n");
   std::remove(path.c_str());
+}
+
+std::string Slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream read;
+  read << in.rdbuf();
+  return read.str();
+}
+
+TEST(RunReportTest, WriteFileReplacesAnExistingReportAtomically) {
+  const std::string path = testing::TempDir() + "/run_report_replace.json";
+  std::ofstream(path, std::ios::binary) << std::string(4096, 'x');
+  RunReport report("replace");
+  ASSERT_TRUE(report.WriteFile(path).ok());
+  EXPECT_EQ(Slurp(path), report.ToJson() + "\n");
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+  std::remove(path.c_str());
+}
+
+TEST(RunReportTest, FailedWriteLeavesTheOldReport) {
+  const std::string path = testing::TempDir() + "/run_report_blocked.json";
+  std::ofstream(path, std::ios::binary) << "old report\n";
+  // A directory where the temporary file must go.
+  std::remove((path + ".tmp").c_str());
+  ASSERT_EQ(::mkdir((path + ".tmp").c_str(), 0755), 0);
+  RunReport report("blocked");
+  EXPECT_EQ(report.WriteFile(path).code(), StatusCode::kIoError);
+  EXPECT_EQ(Slurp(path), "old report\n");
+  std::remove((path + ".tmp").c_str());
+  std::remove(path.c_str());
+
+  EXPECT_EQ(report.WriteFile(testing::TempDir() + "/no_such_dir/r.json")
+                .code(),
+            StatusCode::kIoError);
 }
 
 // The crash-safety contract: the report snapshots the event stream before

@@ -1,8 +1,12 @@
 #include "obs/export_prometheus.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cctype>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -113,6 +117,58 @@ TEST(ExportPrometheusTest, GlobalExpositionParsesLineByLine) {
     ++samples;
   }
   EXPECT_GT(samples, 50u);  // 31 counters + 7 gauges + 13 histograms' worth
+}
+
+// Every metric RegisterStandardMetrics declares has its own help text, not
+// the generated "ireduct metric <name>" fallback.
+TEST(ExportPrometheusTest, EveryStandardMetricHasItsOwnHelp) {
+  RegisterStandardMetrics();
+  const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
+  const std::string text = ExportPrometheus(snapshot);
+  size_t helps = 0;
+  size_t start = 0;
+  while ((start = text.find("# HELP ", start)) != std::string::npos) {
+    const size_t end = text.find('\n', start);
+    const std::string line = text.substr(start, end - start);
+    EXPECT_EQ(line.find(" ireduct metric "), std::string::npos) << line;
+    ++helps;
+    start = end;
+  }
+  EXPECT_EQ(helps, snapshot.counters.size() + snapshot.gauges.size() +
+                       snapshot.histograms.size());
+}
+
+std::string Slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream read;
+  read << in.rdbuf();
+  return read.str();
+}
+
+TEST(ExportPrometheusTest, WritePrometheusFileReplacesTheFileAtomically) {
+  RegisterStandardMetrics();
+  const std::string path = testing::TempDir() + "/ireduct_replace.prom";
+  std::ofstream(path, std::ios::binary) << std::string(100000, '#');
+  ASSERT_TRUE(WritePrometheusFile(path).ok());
+  EXPECT_EQ(Slurp(path), ExportPrometheusGlobal());
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+  std::remove(path.c_str());
+}
+
+TEST(ExportPrometheusTest, FailedWriteLeavesTheOldExposition) {
+  const std::string path = testing::TempDir() + "/ireduct_blocked.prom";
+  std::ofstream(path, std::ios::binary) << "# old exposition\n";
+  // A directory where the temporary file must go.
+  std::remove((path + ".tmp").c_str());
+  ASSERT_EQ(::mkdir((path + ".tmp").c_str(), 0755), 0);
+  EXPECT_EQ(WritePrometheusFile(path).code(), StatusCode::kIoError);
+  EXPECT_EQ(Slurp(path), "# old exposition\n");
+  std::remove((path + ".tmp").c_str());
+  std::remove(path.c_str());
+
+  EXPECT_EQ(
+      WritePrometheusFile(testing::TempDir() + "/no_such_dir/m.prom").code(),
+      StatusCode::kIoError);
 }
 
 }  // namespace

@@ -56,9 +56,16 @@
 #                             # an out-of-domain value is refused and
 #                             # charges nothing, and a deeply nested line
 #                             # and an over-long line are refused while a
-#                             # new connection still gets its pong
-#   tools/check.sh obs        # Telemetry smoke: runs the event-log / trace /
-#                             # exposition / run-report tests, drives
+#                             # new connection still gets its pong; then
+#                             # the server is killed and restarted on the
+#                             # same journals, where a fresh open of the
+#                             # tenant is refused and a resume reports
+#                             # the same spend as before the kill
+#   tools/check.sh obs        # Telemetry smoke: checks that every metric
+#                             # name in src/ is pre-registered by
+#                             # RegisterStandardMetrics, runs the
+#                             # event-log / trace / exposition /
+#                             # run-report tests, drives
 #                             # ireduct_tool with --report-out/--events-out/
 #                             # --prom-out/--trace-out/--metrics-out,
 #                             # validates the artifacts, cross-checks the
@@ -243,18 +250,22 @@ if [ "$mode" = service ]; then
   done
   tool=./build/tools/ireduct_tool
   sock="$out_dir/service.sock"
-  "$tool" serve --socket "$sock" --ready-file "$out_dir/ready" \
-    --rows 20000 --seed 7 --journal-dir "$out_dir/journals" &
-  serve_pid=$!
-  i=0
-  while [ ! -f "$out_dir/ready" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-      echo "service smoke: server never wrote its ready file" >&2
-      exit 1
-    fi
-    sleep 0.1
-  done
+  # Starts the server on the journal directory and waits for ready file $1.
+  serve() {
+    "$tool" serve --socket "$sock" --ready-file "$1" \
+      --rows 20000 --seed 7 --journal-dir "$out_dir/journals" &
+    serve_pid=$!
+    i=0
+    while [ ! -f "$1" ]; do
+      i=$((i + 1))
+      if [ "$i" -gt 100 ]; then
+        echo "service smoke: server never wrote its ready file" >&2
+        exit 1
+      fi
+      sleep 0.1
+    done
+  }
+  serve "$out_dir/ready"
   "$tool" client --socket "$sock" --op ping | grep -q '"pong":true'
   "$tool" client --socket "$sock" --op open --tenant smoke \
     --budget 1 --seed 3 > /dev/null
@@ -275,8 +286,9 @@ if [ "$mode" = service ]; then
          "(exit $status): $refused" >&2
     exit 1
   fi
-  "$tool" client --socket "$sock" --op budget --tenant smoke |
-    grep -q '"remaining"'
+  budget_before="$("$tool" client --socket "$sock" --op budget \
+    --tenant smoke)"
+  echo "$budget_before" | grep -q '"remaining"'
   # The journal the server kept must already hold both grants.
   grep -c '"type":"grant"' "$out_dir/journals/smoke.journal" | grep -qx 2
   # Hostile lines, each on its own connection: one nested 100,000 levels
@@ -307,8 +319,34 @@ PY
   "$tool" client --socket "$sock" --op ping | grep -q '"pong":true'
   kill "$serve_pid"
   wait "$serve_pid"
+  # Restart on the same journals. A fresh open would truncate the
+  # tenant's ledger, so it is refused; a resume recovers it, and the
+  # tenant reports the spend it had before the kill.
+  serve "$out_dir/ready2"
+  status=0
+  reopened="$("$tool" client --socket "$sock" --op open --tenant smoke \
+    --budget 1 --seed 3)" || status=$?
+  if [ "$status" -ne 1 ] ||
+     ! echo "$reopened" | grep -q '"code":"Failed precondition"'; then
+    echo "service smoke: reopening a journaled tenant was not refused" \
+         "(exit $status): $reopened" >&2
+    exit 1
+  fi
+  "$tool" client --socket "$sock" --op resume --tenant smoke --seed 3 \
+    > /dev/null
+  budget_after="$("$tool" client --socket "$sock" --op budget \
+    --tenant smoke)"
+  spent_before="$(echo "$budget_before" | grep -o '"spent":[^,}]*')"
+  spent_after="$(echo "$budget_after" | grep -o '"spent":[^,}]*')"
+  if [ -z "$spent_before" ] || [ "$spent_before" != "$spent_after" ]; then
+    echo "service smoke: resumed spend differs: before $budget_before," \
+         "after $budget_after" >&2
+    exit 1
+  fi
+  kill "$serve_pid"
+  wait "$serve_pid"
   serve_pid=""
-  echo "service smoke: tests + gated bench + socket round trip OK"
+  echo "service smoke: tests + gated bench + socket round trip + resume OK"
   exit 0
 fi
 
@@ -316,6 +354,33 @@ if [ "$mode" = obs ]; then
   # Telemetry smoke: unit-test the pipeline, then prove the end-to-end
   # artifacts (--report-out / --events-out / --prom-out / --trace-out /
   # --metrics-out) carry what the docs promise.
+  # Every metric-name literal in src/ must be pre-registered, so that
+  # artifacts list it even for a run that never touched it. A literal may
+  # sit on a later line than its macro (journal.append_seconds does).
+  python3 - <<'PY'
+import pathlib
+import re
+import sys
+
+emit = re.compile(
+    r'IREDUCT_(?:METRIC_[A-Z_]+|SCOPED_TIMER)\(\s*(?:\w+\s*,\s*)?"([^"]+)"')
+used = {}
+for path in sorted(pathlib.Path("src").rglob("*")):
+    if path.suffix in (".h", ".cc"):
+        for name in emit.findall(path.read_text()):
+            used.setdefault(name, str(path))
+metrics = pathlib.Path("src/obs/metrics.cc").read_text()
+body = metrics[metrics.index("void RegisterStandardMetrics()"):]
+registered = set(re.findall(
+    r'registry\.(?:counter|gauge|histogram)\(\s*"([^"]+)"', body))
+missing = sorted(set(used) - registered)
+for name in missing:
+    print("obs: %s (%s) is missing from RegisterStandardMetrics"
+          % (name, used[name]), file=sys.stderr)
+if missing or not used:
+    sys.exit(1)
+print("obs: all %d metric names in src/ are registered" % len(used))
+PY
   out_dir="$(mktemp -d)"
   trap 'rm -rf "$out_dir"' EXIT
   obs_tests="obs_metrics_test event_log_test obs_trace_test \

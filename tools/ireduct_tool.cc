@@ -133,6 +133,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/file.h"
 #include "common/numeric.h"
 #include "ireduct.h"
 
@@ -397,11 +398,10 @@ Result<MechanismOutput> RunSpecMechanism(
 }
 
 // Crash-safety state for a journaled `marginals` run: the write-ahead
-// ledger journal, the accountant it is attached to, the checkpoint sink
-// chain, and (on --resume) the loaded checkpoint.
+// ledger journal and its accountant, the checkpoint sink chain, and (on
+// --resume) the loaded checkpoint.
 struct CrashSafeRun {
-  std::unique_ptr<LedgerJournal> journal;
-  std::unique_ptr<PrivacyAccountant> accountant;
+  JournaledAccountant ledger;
   std::unique_ptr<FileCheckpointSink> file_sink;
   std::unique_ptr<JournalingCheckpointSink> journaled_sink;
   std::unique_ptr<RunCheckpoint> resume_state;
@@ -413,40 +413,27 @@ bool FileExists(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0;
 }
 
-// Builds the journal + checkpoint plumbing for CmdMarginals. On resume the
-// ledger is recovered first (torn tail counted as spent, then compacted),
-// so the accountant can never under-report what the crashed run granted.
+// Builds the journal + checkpoint plumbing for CmdMarginals. The ledger
+// opens or resumes through the same lifecycle as a served tenant's, so a
+// fresh run never truncates an existing journal and a resumed accountant
+// never under-reports what the crashed run granted.
 Result<CrashSafeRun> SetUpCrashSafeRun(const std::string& journal_path,
                                        const std::string& checkpoint_path,
                                        uint64_t checkpoint_every,
                                        bool resume, double epsilon) {
   CrashSafeRun run;
+  IREDUCT_ASSIGN_OR_RETURN(run.ledger,
+                           resume ? ResumeJournaledAccountant(journal_path)
+                                  : CreateJournaledAccountant(journal_path,
+                                                              epsilon));
   if (resume) {
-    IREDUCT_ASSIGN_OR_RETURN(const LedgerJournal::Recovered recovered,
-                             LedgerJournal::Recover(journal_path));
-    IREDUCT_ASSIGN_OR_RETURN(PrivacyAccountant accountant,
-                             LedgerJournal::Replay(recovered));
-    run.accountant =
-        std::make_unique<PrivacyAccountant>(std::move(accountant));
-    if (recovered.torn_tail) {
-      std::fprintf(stderr,
-                   "note: journal ended in a torn grant; counting its "
-                   "epsilon %g as spent\n",
-                   recovered.torn_epsilon);
-    }
-    IREDUCT_ASSIGN_OR_RETURN(
-        LedgerJournal journal,
-        recovered.torn_tail
-            ? LedgerJournal::RewriteCompacted(journal_path, recovered)
-            : LedgerJournal::OpenForAppend(journal_path));
-    run.journal = std::make_unique<LedgerJournal>(std::move(journal));
     if (FileExists(checkpoint_path)) {
       IREDUCT_ASSIGN_OR_RETURN(RunCheckpoint checkpoint,
                                FileCheckpointSink::Load(checkpoint_path));
       run.resume_state =
           std::make_unique<RunCheckpoint>(std::move(checkpoint));
       run.hooks.resume = run.resume_state.get();
-    } else if (!recovered.charges.empty()) {
+    } else if (run.ledger.recovered_grants > 0) {
       // Grants were journaled but no checkpoint survived: re-executing
       // from scratch cannot be proven identical to what was paid for.
       return Status::FailedPrecondition(
@@ -454,29 +441,10 @@ Result<CrashSafeRun> SetUpCrashSafeRun(const std::string& journal_path,
           "checkpoint exists at '" + checkpoint_path +
           "'; refusing to re-run the paid-for release from scratch");
     }
-  } else {
-    // A fresh run truncates the journal. An existing file here is almost
-    // always a crashed run whose --resume was forgotten; truncating it
-    // would destroy the spent-ε record and double-spend the budget — the
-    // exact hazard the journal exists to prevent. Refuse instead.
-    if (FileExists(journal_path)) {
-      return Status::FailedPrecondition(
-          "journal '" + journal_path +
-          "' already exists; pass --resume 1 to continue that run, or "
-          "delete the file to explicitly discard its ledger");
-    }
-    IREDUCT_ASSIGN_OR_RETURN(PrivacyAccountant accountant,
-                             PrivacyAccountant::Create(epsilon));
-    run.accountant =
-        std::make_unique<PrivacyAccountant>(std::move(accountant));
-    IREDUCT_ASSIGN_OR_RETURN(LedgerJournal journal,
-                             LedgerJournal::Create(journal_path, epsilon));
-    run.journal = std::make_unique<LedgerJournal>(std::move(journal));
   }
-  run.accountant->AttachJournal(run.journal.get());
   run.file_sink = std::make_unique<FileCheckpointSink>(checkpoint_path);
   run.journaled_sink = std::make_unique<JournalingCheckpointSink>(
-      run.accountant.get(), run.file_sink.get());
+      run.ledger.accountant.get(), run.file_sink.get());
   run.hooks.checkpoint.sink = run.journaled_sink.get();
   run.hooks.checkpoint.every = checkpoint_every;
   return run;
@@ -577,14 +545,14 @@ int CmdMarginals(const std::map<std::string, std::string>& flags,
     return 1;
   }
 
-  if (crash_safe.accountant != nullptr) {
+  if (crash_safe.ledger.accountant != nullptr) {
     // Journaled runs already charged up to the last checkpoint boundary;
     // one final top-up makes the ledger equal the run's exact spend.
     if (out->is_private()) {
       const double remainder =
-          out->epsilon_spent - crash_safe.accountant->spent();
+          out->epsilon_spent - crash_safe.ledger.accountant->spent();
       if (remainder > 0) {
-        if (Status s = crash_safe.accountant->Charge(
+        if (Status s = crash_safe.ledger.accountant->Charge(
                 "marginals (" + mechanism + ") final", remainder);
             !s.ok()) {
           std::fprintf(stderr, "%s\n", s.ToString().c_str());
@@ -592,7 +560,7 @@ int CmdMarginals(const std::map<std::string, std::string>& flags,
         }
       }
     }
-    report->AttachLedger(*crash_safe.accountant);
+    report->AttachLedger(*crash_safe.ledger.accountant);
   } else if (out->is_private() && out->epsilon_spent > 0) {
     // Mirror the release through an accountant so the run carries a
     // ledger: the privacy.epsilon_spent gauge tracks the charge, and the
@@ -842,10 +810,8 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
   // never races the bind.
   if (const std::string ready = FlagOr(flags, "ready-file", "");
       !ready.empty()) {
-    std::ofstream file(ready, std::ios::trunc);
-    file << socket << '\n';
-    if (!file.flush()) {
-      std::fprintf(stderr, "failed writing ready file %s\n", ready.c_str());
+    if (Status s = WriteFileDurably(ready, socket + "\n"); !s.ok()) {
+      std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
     }
   }
@@ -996,12 +962,9 @@ int main(int argc, char** argv) {
 
   // Emit observability artifacts even for failed runs — a trace of a
   // failure is exactly when you want one.
-  auto write_json = [](const std::string& path, const std::string& body,
-                       const char* what) {
-    std::ofstream file(path, std::ios::binary | std::ios::trunc);
-    file << body << '\n';
-    if (!file.flush()) {
-      std::fprintf(stderr, "failed writing %s to %s\n", what, path.c_str());
+  auto write_json = [](const std::string& path, const std::string& body) {
+    if (Status s = WriteFileDurably(path, body + '\n'); !s.ok()) {
+      std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return false;
     }
     return true;
@@ -1013,8 +976,7 @@ int main(int argc, char** argv) {
     if (report.ledger_json().has_value()) {
       other_data.emplace_back("privacy_ledger", *report.ledger_json());
     }
-    if (!write_json(trace_out, event_log.ChromeTraceJson(other_data),
-                    "trace")) {
+    if (!write_json(trace_out, event_log.ChromeTraceJson(other_data))) {
       return 1;
     }
     std::printf("wrote trace (%zu events) to %s\n", event_log.size(),
@@ -1022,8 +984,7 @@ int main(int argc, char** argv) {
   }
   if (!metrics_out.empty()) {
     if (!write_json(metrics_out,
-                    obs::MetricsRegistry::Global().SnapshotJson(),
-                    "metrics")) {
+                    obs::MetricsRegistry::Global().SnapshotJson())) {
       return 1;
     }
     std::printf("wrote metrics snapshot to %s\n", metrics_out.c_str());
