@@ -148,6 +148,89 @@ void BM_CountCellsScanShard(benchmark::State& state) {
 }
 BENCHMARK(BM_CountCellsScanShard)->Unit(benchmark::kMillisecond);
 
+// The scan_10m shape of a fused pass on one shard: a fixed list of 24
+// sets of 2–3 distinct specs from that pool (the misses a Phase A pass
+// counts), each counted by MarginalSetEvaluator::Compute on one thread:
+//
+//   BM_MarginalSetFusedScanShape  joint tables, each spec read out of one
+//   BM_MarginalSetPerSpecScanShape the same specs, one striped CountCells
+//                                 call per spec (the table-major pass
+//                                 before joint tables)
+//
+// tools/check.sh perf gates the first against the second.
+std::vector<std::vector<MarginalSpec>> ScanShapeSets(const Schema& schema) {
+  std::vector<MarginalSpec> pool;
+  for (const int k : {2, 3}) {
+    const std::vector<MarginalSpec> specs = std::move(*AllKWaySpecs(schema, k));
+    for (const MarginalSpec& spec : specs) {
+      size_t cells = 1;
+      for (const uint32_t a : spec.attributes) {
+        cells *= schema.attribute(a).domain_size;
+      }
+      if (cells <= 1024) pool.push_back(spec);
+    }
+  }
+  BitGen gen(7);
+  std::vector<std::vector<MarginalSpec>> sets(24);
+  for (std::vector<MarginalSpec>& set : sets) {
+    const size_t k = 2 + gen.UniformInt(2);
+    std::vector<size_t> picks;
+    while (picks.size() < k) {
+      const size_t p = gen.UniformInt(pool.size());
+      if (std::find(picks.begin(), picks.end(), p) == picks.end()) {
+        picks.push_back(p);
+      }
+    }
+    for (const size_t p : picks) set.push_back(pool[p]);
+  }
+  return sets;
+}
+
+void BM_MarginalSetFusedScanShape(benchmark::State& state) {
+  const Dataset& dataset = ShardDataset();
+  std::vector<MarginalSetEvaluator> evaluators;
+  size_t specs = 0;
+  for (const std::vector<MarginalSpec>& set :
+       ScanShapeSets(dataset.schema())) {
+    evaluators.push_back(
+        std::move(*MarginalSetEvaluator::Create(dataset.schema(), set)));
+    specs += set.size();
+  }
+  for (auto _ : state) {
+    for (const MarginalSetEvaluator& evaluator : evaluators) {
+      auto marginals = evaluator.Compute(dataset);
+      benchmark::DoNotOptimize(marginals);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * dataset.num_rows() * specs);
+}
+BENCHMARK(BM_MarginalSetFusedScanShape);
+
+void BM_MarginalSetPerSpecScanShape(benchmark::State& state) {
+  const Dataset& dataset = ShardDataset();
+  std::vector<KernelPlan> plans;
+  size_t max_cells = 0;
+  for (const std::vector<MarginalSpec>& set :
+       ScanShapeSets(dataset.schema())) {
+    for (const MarginalSpec& spec : set) {
+      plans.emplace_back(dataset, spec);
+      max_cells = std::max(max_cells, plans.back().cells);
+    }
+  }
+  std::vector<uint32_t> counts(max_cells);
+  std::vector<uint32_t> scratch(kCountLanes * max_cells);
+  for (auto _ : state) {
+    for (const KernelPlan& plan : plans) {
+      std::fill(counts.begin(), counts.begin() + plan.cells, 0);
+      CountCells(plan.Args(dataset.num_rows(), counts.data(), scratch.data()));
+      benchmark::DoNotOptimize(counts.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * dataset.num_rows() *
+                          plans.size());
+}
+BENCHMARK(BM_MarginalSetPerSpecScanShape);
+
 // The same shard counted striped into one wide 3-way table, Age x
 // Occupation x Gender (103,424 cells): past 65,536 cells the index is
 // size_t, which no benchmark workload reaches.

@@ -182,6 +182,11 @@ Result<LedgerJournal> LedgerJournal::OpenForAppend(const std::string& path) {
         "' ends in a torn record; rewrite it (RewriteCompacted) before "
         "appending");
   }
+  return OpenRecovered(path, recovered);
+}
+
+Result<LedgerJournal> LedgerJournal::OpenRecovered(const std::string& path,
+                                                   const Recovered& recovered) {
   const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND, 0644);
   if (fd < 0) {
     return ErrnoError("opening journal", path);
@@ -392,7 +397,9 @@ Result<LedgerJournal> LedgerJournal::RewriteCompacted(
   // Durable rename: a crash must not resurrect the pre-compaction torn
   // journal after the caller was told its liability is sealed.
   IREDUCT_RETURN_NOT_OK(RenameDurably(tmp, path));
-  return OpenForAppend(path);
+  // The rewrite holds `recovered` with its torn tail sealed as a complete
+  // grant, so its next sequence number is the same.
+  return OpenRecovered(path, recovered);
 }
 
 Result<JournaledAccountant> CreateJournaledAccountant(const std::string& path,
@@ -422,7 +429,7 @@ Result<JournaledAccountant> ResumeJournaledAccountant(const std::string& path) {
       LedgerJournal journal,
       recovered.torn_tail
           ? LedgerJournal::RewriteCompacted(path, recovered)
-          : LedgerJournal::OpenForAppend(path));
+          : LedgerJournal::OpenRecovered(path, recovered));
   return Attach(std::move(journal), std::move(accountant),
                 recovered.charges.size());
 }

@@ -39,6 +39,8 @@
 
 namespace ireduct {
 
+struct JournaledAccountant;
+
 /// Append-side handle to a ledger journal file.
 class LedgerJournal {
  public:
@@ -108,6 +110,14 @@ class LedgerJournal {
  private:
   LedgerJournal(std::string path, int fd, uint64_t next_seq)
       : path_(std::move(path)), fd_(fd), next_seq_(next_seq) {}
+
+  // Opens `path` for appending after its `recovered` state, which must end
+  // in no torn tail: the appends continue its sequence. Saves the callers
+  // that already hold the recovery a second read of the journal.
+  static Result<LedgerJournal> OpenRecovered(const std::string& path,
+                                             const Recovered& recovered);
+  friend Result<JournaledAccountant> ResumeJournaledAccountant(
+      const std::string& path);
 
   // Writes `record` (with trailing newline) and fsyncs. Fault point
   // "journal.append": kFail writes nothing; kTruncate persists a prefix —

@@ -1,6 +1,5 @@
 #include "marginals/marginal_cache.h"
 
-#include <algorithm>
 #include <cstdint>
 
 #include "common/env.h"
@@ -107,7 +106,7 @@ Result<std::vector<Marginal>> MarginalCache::GetOrCompute(
   // that serves several specs.
   size_t projected = 0;
   std::vector<size_t> missing;
-  std::vector<size_t> cells(specs.size(), 0);
+  std::vector<MarginalSpec> misses;
   for (size_t i = 0; i < specs.size(); ++i) {
     if (source[i] != nullptr) {
       IREDUCT_ASSIGN_OR_RETURN(
@@ -116,61 +115,25 @@ Result<std::vector<Marginal>> MarginalCache::GetOrCompute(
       ++projected;
     } else if (found[i] == nullptr) {
       missing.push_back(i);
-      std::vector<uint32_t> domains;
-      for (const uint32_t a : specs[i].attributes) {
-        domains.push_back(schema.attribute(a).domain_size);
-      }
-      const Result<size_t> count = CellCount(domains);
-      cells[i] = count.ok() ? *count : SIZE_MAX;
-    }
-  }
-  // The pass counts every miss that no larger miss contains; the rest are
-  // projected from the counted tables afterwards.
-  const auto contains = [&](size_t outer, size_t inner) {
-    return specs[outer].attributes.size() > specs[inner].attributes.size() &&
-           cells[outer] <= max_source_cells &&
-           IsSubsequence(specs[inner].attributes, specs[outer].attributes);
-  };
-  std::vector<MarginalSpec> plans;
-  std::vector<size_t> counted;
-  std::vector<size_t> derived;
-  for (const size_t i : missing) {
-    if (std::any_of(missing.begin(), missing.end(),
-                    [&](size_t j) { return contains(j, i); })) {
-      derived.push_back(i);
-    } else {
-      plans.push_back(specs[i]);
-      counted.push_back(i);
+      misses.push_back(specs[i]);
     }
   }
   IREDUCT_METRIC_COUNT("marginals.cache_hits", specs.size() - missing.size());
   IREDUCT_METRIC_COUNT("marginals.cache_misses", missing.size());
-  IREDUCT_METRIC_COUNT("marginals.projected", projected + derived.size());
+  IREDUCT_METRIC_COUNT("marginals.projected", projected);
 
   if (!missing.empty()) {
     // Compute outside the lock: a concurrent miss on the same key at worst
-    // duplicates work, and both computations insert identical tables.
+    // duplicates work, and both computations insert identical tables. The
+    // pass reads misses that another contains out of its table.
     IREDUCT_ASSIGN_OR_RETURN(
         MarginalSetEvaluator evaluator,
-        MarginalSetEvaluator::Create(schema, std::move(plans)));
+        MarginalSetEvaluator::Create(schema, std::move(misses)));
     IREDUCT_ASSIGN_OR_RETURN(std::vector<Marginal> computed,
                              evaluator.Compute(dataset, {}, pool));
-    for (size_t c = 0; c < counted.size(); ++c) {
-      found[counted[c]] = std::make_shared<const Marginal>(
-          std::move(computed[c]));
-    }
-    // A chain of containing misses ends in a counted one, so every derived
-    // spec has a counted source.
-    for (const size_t i : derived) {
-      size_t best = SIZE_MAX;
-      for (const size_t j : counted) {
-        if (contains(j, i) && (best == SIZE_MAX || cells[j] < cells[best])) {
-          best = j;
-        }
-      }
-      IREDUCT_ASSIGN_OR_RETURN(
-          Marginal table, ProjectMarginal(*found[best], specs[i].attributes));
-      found[i] = std::make_shared<const Marginal>(std::move(table));
+    for (size_t m = 0; m < missing.size(); ++m) {
+      found[missing[m]] =
+          std::make_shared<const Marginal>(std::move(computed[m]));
     }
     std::lock_guard<std::mutex> lock(mu_);
     for (const size_t i : missing) {

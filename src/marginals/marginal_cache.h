@@ -11,17 +11,16 @@
 // projecting (summing out) the smallest cached table of the same dataset
 // whose attribute list contains it as a subsequence, or by one fused
 // MarginalSetEvaluator pass (optionally sharded on a ThreadPool) over the
-// call's remaining misses. That pass skips every miss that a larger miss
-// contains and projects it from the counted table afterwards (the
-// data-cube lattice). A projection source has at most as many cells as
-// the dataset has rows, so it never costs more than the scan it replaces.
+// call's remaining misses, which itself counts a few joint tables and
+// projects the misses out of them (the data-cube lattice). A cached
+// projection source has at most as many cells as the dataset has rows, so
+// it never costs more than the scan it replaces.
 //
 // Every returned table is bit-identical to Marginal::Compute: the fused
 // pass has an exact parity guarantee, and true counts are integers below
 // 2^53, so summing them in any order gives exactly the scanned doubles.
-// The cache stores what a pass produced, counted or projected; a
-// projection of a cached table is not stored, since its source rebuilds
-// it in O(cells).
+// The cache stores every table a pass returned; a projection of a cached
+// table is not stored, since its source rebuilds it in O(cells).
 #ifndef IREDUCT_MARGINALS_MARGINAL_CACHE_H_
 #define IREDUCT_MARGINALS_MARGINAL_CACHE_H_
 

@@ -3,25 +3,39 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <iterator>
 #include <memory>
+#include <numeric>
+#include <optional>
 #include <thread>
 
 #include "common/arena.h"
 #include "common/logging.h"
 #include "data/columnar.h"
 #include "marginals/count_kernel.h"
+#include "marginals/postprocess.h"
 #include "obs/metrics.h"
 
 namespace ireduct {
 
 namespace {
 
-// Plans with more cells than this count directly instead of striping:
+// Tables with more cells than this count directly instead of striping:
 // beyond it the four private lane tables stop fitting in cache and the
 // scratch clear/merge dominates, and an uncapped bound would let one huge
-// 2-way plan size gigabytes of per-shard scratch. Totals are unaffected —
+// 2-way table size gigabytes of per-shard scratch. Totals are unaffected —
 // striping is a perf mode, not a semantic one.
 constexpr size_t kMaxStripedCells = size_t{1} << 21;
+
+// A spec widens a joint table only while the union fits CountCells'
+// 16-bit index...
+constexpr size_t kMaxJointCells = size_t{1} << 16;
+// ...and has at most one cell per kRowsPerJointCell rows of a shard. A row
+// costs one increment per table it is counted into; a cell costs each
+// shard a clear and a lane merge, the pass a shard merge, and each member
+// a read-out. Of 16, 24, 32, 48, 64 and 128, 32 was fastest or within
+// noise of it on every bench shape (docs/PERFORMANCE.md, "Joint tables").
+constexpr size_t kRowsPerJointCell = 32;
 
 // Shards for a pass over `rows` rows: one per worker, but never shards so
 // small that the per-shard accumulator allocation dominates — and never
@@ -48,9 +62,11 @@ size_t NumShards(const ThreadPool* pool, size_t rows) {
 Result<MarginalSetEvaluator> MarginalSetEvaluator::Create(
     const Schema& schema, std::vector<MarginalSpec> specs) {
   MarginalSetEvaluator evaluator;
-  evaluator.num_schema_attributes_ = schema.num_attributes();
+  for (size_t a = 0; a < schema.num_attributes(); ++a) {
+    evaluator.domain_sizes_.push_back(schema.attribute(a).domain_size);
+  }
 
-  // Sorted union of every referenced attribute; one load per row each.
+  // Sorted union of every referenced attribute: the columns a pass reads.
   std::vector<uint32_t> columns;
   for (const MarginalSpec& spec : specs) {
     IREDUCT_RETURN_NOT_OK(ValidateSpec(spec, schema.num_attributes()));
@@ -61,131 +77,205 @@ Result<MarginalSetEvaluator> MarginalSetEvaluator::Create(
   columns.erase(std::unique(columns.begin(), columns.end()), columns.end());
   evaluator.columns_ = std::move(columns);
 
-  size_t offset = 0;
+  size_t total_cells = 0;
   evaluator.plans_.reserve(specs.size());
   for (MarginalSpec& spec : specs) {
-    SpecPlan plan;
-    plan.domain_sizes.reserve(spec.attributes.size());
-    for (uint32_t a : spec.attributes) {
-      plan.domain_sizes.push_back(schema.attribute(a).domain_size);
+    std::vector<uint32_t> domains;
+    for (const uint32_t a : spec.attributes) {
+      domains.push_back(evaluator.domain_sizes_[a]);
     }
-    IREDUCT_ASSIGN_OR_RETURN(plan.cells, CellCount(plan.domain_sizes));
-    // Row-major strides, first attribute varying slowest — identical cell
-    // order to Marginal.
-    std::vector<size_t> strides(spec.attributes.size());
-    size_t stride = 1;
-    for (size_t i = spec.attributes.size(); i-- > 0;) {
-      strides[i] = stride;
-      stride *= plan.domain_sizes[i];
-    }
-    plan.terms.reserve(spec.attributes.size());
-    for (size_t i = 0; i < spec.attributes.size(); ++i) {
-      const auto it = std::lower_bound(evaluator.columns_.begin(),
-                                       evaluator.columns_.end(),
-                                       spec.attributes[i]);
-      plan.terms.emplace_back(
-          static_cast<uint32_t>(it - evaluator.columns_.begin()), strides[i]);
-    }
-    plan.offset = offset;
-    if (offset > (static_cast<size_t>(1) << 42) - plan.cells) {
+    IREDUCT_ASSIGN_OR_RETURN(const size_t cells, CellCount(domains));
+    if (total_cells > (static_cast<size_t>(1) << 42) - cells) {
       return Status::InvalidArgument("fused marginal table too large");
     }
-    offset += plan.cells;
-    if (plan.cells <= kMaxStripedCells) {
-      evaluator.max_kernel_cells_ =
-          std::max(evaluator.max_kernel_cells_, plan.cells);
-    }
-    plan.spec = std::move(spec);
-    evaluator.plans_.push_back(std::move(plan));
+    total_cells += cells;
+    evaluator.plans_.push_back(SpecPlan{std::move(spec), cells});
   }
-  evaluator.total_cells_ = offset;
   return evaluator;
 }
 
 Status MarginalSetEvaluator::CheckSchema(const Schema& schema) const {
-  if (schema.num_attributes() < num_schema_attributes_) {
+  if (schema.num_attributes() < domain_sizes_.size()) {
     return Status::InvalidArgument(
         "data has fewer attributes than the evaluation plan");
   }
-  for (const SpecPlan& plan : plans_) {
-    for (size_t i = 0; i < plan.spec.attributes.size(); ++i) {
-      if (schema.attribute(plan.spec.attributes[i]).domain_size !=
-          plan.domain_sizes[i]) {
-        return Status::InvalidArgument(
-            "data domain sizes do not match the evaluation plan");
-      }
+  for (const uint32_t a : columns_) {
+    if (schema.attribute(a).domain_size != domain_sizes_[a]) {
+      return Status::InvalidArgument(
+          "data domain sizes do not match the evaluation plan");
     }
   }
   return Status::OK();
 }
 
+MarginalSetEvaluator::Pass MarginalSetEvaluator::PlanPass(
+    size_t rows, size_t num_shards) const {
+  const size_t rows_per_shard = (rows + num_shards - 1) / num_shards;
+  const size_t max_union =
+      std::min(kMaxJointCells, rows_per_shard / kRowsPerJointCell);
+  // Cells of the table over `attributes`, or SIZE_MAX past max_union.
+  const auto union_cells = [&](const std::vector<uint32_t>& attributes) {
+    size_t cells = 1;
+    for (const uint32_t a : attributes) {
+      cells *= domain_sizes_[a];
+      if (cells > max_union) return SIZE_MAX;
+    }
+    return cells;
+  };
+
+  // Largest first, so a smaller spec finds the tables that contain it.
+  std::vector<size_t> order(plans_.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return plans_[a].cells > plans_[b].cells;
+  });
+  Pass pass;
+  std::vector<JointTable>& tables = pass.tables;
+  std::vector<uint32_t> merged;
+  for (const size_t i : order) {
+    const std::vector<uint32_t>& attrs = plans_[i].spec.attributes;
+    JointTable* home = nullptr;
+    for (JointTable& table : tables) {
+      if (table.cells <= rows && IsSubsequence(attrs, table.attributes) &&
+          (home == nullptr || table.cells < home->cells)) {
+        home = &table;
+      }
+    }
+    if (home == nullptr && std::is_sorted(attrs.begin(), attrs.end())) {
+      size_t best_cells = SIZE_MAX;
+      std::vector<uint32_t> best_union;
+      for (JointTable& table : tables) {
+        if (!std::is_sorted(table.attributes.begin(),
+                            table.attributes.end())) {
+          continue;
+        }
+        merged.clear();
+        std::set_union(table.attributes.begin(), table.attributes.end(),
+                       attrs.begin(), attrs.end(),
+                       std::back_inserter(merged));
+        const size_t cells = union_cells(merged);
+        if (cells < best_cells) {
+          best_cells = cells;
+          best_union = merged;
+          home = &table;
+        }
+      }
+      if (home != nullptr) {
+        home->attributes = std::move(best_union);
+        home->cells = best_cells;
+      }
+    }
+    if (home == nullptr) {
+      tables.push_back(JointTable{attrs, {}, plans_[i].cells, {}, 0, {}});
+      home = &tables.back();
+    }
+    home->members.push_back(i);
+  }
+
+  for (JointTable& table : tables) {
+    // Row-major strides, first attribute varying slowest — identical cell
+    // order to Marginal.
+    size_t stride = table.cells;
+    for (const uint32_t a : table.attributes) {
+      table.domain_sizes.push_back(domain_sizes_[a]);
+      stride /= domain_sizes_[a];
+      const auto column =
+          std::lower_bound(columns_.begin(), columns_.end(), a);
+      table.terms.emplace_back(
+          static_cast<uint32_t>(column - columns_.begin()), stride);
+    }
+    table.offset = pass.total_cells;
+    pass.total_cells += table.cells;
+    if (table.cells <= kMaxStripedCells) {
+      pass.max_kernel_cells = std::max(pass.max_kernel_cells, table.cells);
+    }
+  }
+  return pass;
+}
+
 Result<std::vector<Marginal>> MarginalSetEvaluator::ToMarginals(
+    const Pass& pass,
     const std::vector<std::vector<uint32_t>>& shard_counts) const {
   // Fixed shard order; with integer counts any order gives the same sum.
-  std::vector<uint64_t> totals(total_cells_, 0);
+  std::vector<uint64_t> totals(pass.total_cells, 0);
   for (const std::vector<uint32_t>& counts : shard_counts) {
-    for (size_t c = 0; c < total_cells_; ++c) totals[c] += counts[c];
+    for (size_t c = 0; c < pass.total_cells; ++c) totals[c] += counts[c];
   }
-  std::vector<Marginal> marginals;
-  marginals.reserve(plans_.size());
-  for (const SpecPlan& plan : plans_) {
-    std::vector<double> counts(plan.cells);
-    for (size_t c = 0; c < plan.cells; ++c) {
+  std::vector<std::optional<Marginal>> out(plans_.size());
+  uint64_t projected = 0;
+  for (const JointTable& table : pass.tables) {
+    std::vector<double> counts(table.cells);
+    for (size_t c = 0; c < table.cells; ++c) {
       // Integer-valued, < 2^53: exactly the double the sequential += 1.0
       // accumulation of Marginal::Compute produces.
-      counts[c] = static_cast<double>(totals[plan.offset + c]);
+      counts[c] = static_cast<double>(totals[table.offset + c]);
     }
     IREDUCT_ASSIGN_OR_RETURN(
-        Marginal m, Marginal::FromCounts(plan.spec, plan.domain_sizes,
-                                         std::move(counts)));
-    marginals.push_back(std::move(m));
+        Marginal joint,
+        Marginal::FromCounts(MarginalSpec{table.attributes},
+                             table.domain_sizes, std::move(counts)));
+    for (const size_t i : table.members) {
+      const std::vector<uint32_t>& attrs = plans_[i].spec.attributes;
+      if (attrs == table.attributes) {
+        out[i] = joint;
+      } else {
+        IREDUCT_ASSIGN_OR_RETURN(Marginal m, ProjectMarginal(joint, attrs));
+        out[i] = std::move(m);
+        ++projected;
+      }
+    }
   }
+  IREDUCT_METRIC_COUNT("marginals.projected", projected);
+  std::vector<Marginal> marginals;
+  marginals.reserve(out.size());
+  for (std::optional<Marginal>& m : out) marginals.push_back(std::move(*m));
   return marginals;
 }
 
-void MarginalSetEvaluator::CountColumns(const uint16_t* const* cols,
+void MarginalSetEvaluator::CountColumns(const Pass& pass,
+                                        const uint16_t* const* cols,
                                         const uint32_t* row_idx, size_t begin,
-                                        size_t end, uint32_t* counts) const {
+                                        size_t end, uint32_t* counts) {
   const size_t nrows = end - begin;
 
   // Lane scratch for the striped counts, sized for the widest
-  // striping-eligible plan and reused across plans. Call-local lifetime:
-  // the scratch is dead once the plan's merge into `counts` finishes, so
+  // striping-eligible table and reused across tables. Call-local lifetime:
+  // the scratch is dead once the table's merge into `counts` finishes, so
   // Reset-at-entry is safe even when one pool worker runs several shards.
   thread_local Arena scratch_arena;
   scratch_arena.Reset();
   uint32_t* lane_scratch = nullptr;
-  if (max_kernel_cells_ > 0) {
+  if (pass.max_kernel_cells > 0) {
     lane_scratch =
-        scratch_arena.Alloc<uint32_t>(kCountLanes * max_kernel_cells_);
+        scratch_arena.Alloc<uint32_t>(kCountLanes * pass.max_kernel_cells);
   }
 
-  // Plan-major, one CountCells call per plan (count_kernel.h). Census data
-  // is Zipf-skewed, so consecutive rows keep hitting the same hot cells;
-  // striping the increments over four private tables pays when the row
-  // range dwarfs a cache-resident table. Small shards and huge tables
+  // Table-major, one CountCells call per table (count_kernel.h). Census
+  // data is Zipf-skewed, so consecutive rows keep hitting the same hot
+  // cells; striping the increments over four private tables pays when the
+  // row range dwarfs a cache-resident table. Small shards and huge tables
   // count directly into `counts`. Counts are integers, so the mode cannot
   // change any total.
-  std::vector<const uint16_t*> plan_cols;
-  std::vector<size_t> plan_strides;
-  for (const SpecPlan& plan : plans_) {
-    plan_cols.clear();
-    plan_strides.clear();
-    for (const auto& [col, stride] : plan.terms) {
-      plan_cols.push_back(cols[col]);
-      plan_strides.push_back(stride);
+  std::vector<const uint16_t*> table_cols;
+  std::vector<size_t> table_strides;
+  for (const JointTable& table : pass.tables) {
+    table_cols.clear();
+    table_strides.clear();
+    for (const auto& [col, stride] : table.terms) {
+      table_cols.push_back(cols[col]);
+      table_strides.push_back(stride);
     }
-    const bool striped = nrows >= 4 * plan.cells && plan.cells > 1 &&
-                         plan.cells <= kMaxStripedCells;
+    const bool striped = nrows >= 4 * table.cells && table.cells > 1 &&
+                         table.cells <= kMaxStripedCells;
     CountArgs args;
-    args.cols = plan_cols.data();
-    args.strides = plan_strides.data();
-    args.arity = plan.terms.size();
+    args.cols = table_cols.data();
+    args.strides = table_strides.data();
+    args.arity = table.terms.size();
     args.row_idx = row_idx;
     args.begin = begin;
     args.end = end;
-    args.counts = counts + plan.offset;
-    args.cells = plan.cells;
+    args.counts = counts + table.offset;
+    args.cells = table.cells;
     args.lane_scratch = striped ? lane_scratch : nullptr;
     CountCells(args);
   }
@@ -203,10 +293,12 @@ Result<std::vector<Marginal>> MarginalSetEvaluator::Compute(
   }
 
   IREDUCT_SCOPED_TIMER(fused_timer, "marginals.fused_seconds");
-  IREDUCT_METRIC_COUNT("marginals.fused_passes", 1);
-  IREDUCT_METRIC_COUNT("marginals.fused_plans", plans_.size());
-  IREDUCT_METRIC_COUNT("marginals.fused_rows", n);
   const auto pass_start = std::chrono::steady_clock::now();
+  const size_t num_shards = NumShards(pool, n);
+  const Pass pass = PlanPass(n, num_shards);
+  IREDUCT_METRIC_COUNT("marginals.fused_passes", 1);
+  IREDUCT_METRIC_COUNT("marginals.fused_plans", pass.tables.size());
+  IREDUCT_METRIC_COUNT("marginals.fused_rows", n);
 
   // Raw column pointers for the referenced attributes only.
   std::vector<const uint16_t*> cols;
@@ -214,11 +306,10 @@ Result<std::vector<Marginal>> MarginalSetEvaluator::Compute(
   for (uint32_t c : columns_) cols.push_back(dataset.column(c).data());
   const uint32_t* row_idx = rows.empty() ? nullptr : rows.data();
 
-  const size_t num_shards = NumShards(pool, n);
   std::vector<std::vector<uint32_t>> shard_counts(num_shards);
   if (num_shards == 1) {
-    shard_counts[0].assign(total_cells_, 0);
-    CountColumns(cols.data(), row_idx, 0, n, shard_counts[0].data());
+    shard_counts[0].assign(pass.total_cells, 0);
+    CountColumns(pass, cols.data(), row_idx, 0, n, shard_counts[0].data());
   } else {
     // Each worker writes only its own slot, so the timing vector needs no
     // lock; it is read after Wait() establishes the happens-before edge.
@@ -226,11 +317,11 @@ Result<std::vector<Marginal>> MarginalSetEvaluator::Compute(
     for (size_t s = 0; s < num_shards; ++s) {
       const size_t begin = n * s / num_shards;
       const size_t end = n * (s + 1) / num_shards;
-      pool->Submit([this, &cols, row_idx, begin, end, &shard_counts,
+      pool->Submit([&pass, &cols, row_idx, begin, end, &shard_counts,
                     &shard_seconds, s] {
         const auto shard_start = std::chrono::steady_clock::now();
-        shard_counts[s].assign(total_cells_, 0);
-        CountColumns(cols.data(), row_idx, begin, end,
+        shard_counts[s].assign(pass.total_cells, 0);
+        CountColumns(pass, cols.data(), row_idx, begin, end,
                      shard_counts[s].data());
         shard_seconds[s] = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - shard_start)
@@ -253,7 +344,7 @@ Result<std::vector<Marginal>> MarginalSetEvaluator::Compute(
     }
   }
   IREDUCT_ASSIGN_OR_RETURN(std::vector<Marginal> marginals,
-                           ToMarginals(shard_counts));
+                           ToMarginals(pass, shard_counts));
   const double pass_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     pass_start)
@@ -280,6 +371,7 @@ Result<std::vector<Marginal>> MarginalSetEvaluator::ComputeStreaming(
 
   // Same shard clamp as Compute, against the rows of one (full) block.
   const size_t num_shards = NumShards(pool, block_rows);
+  const Pass pass = PlanPass(n, num_shards);
 
   // Double-buffered block decode: while shard jobs count block b out of
   // one slot, a decode job fills the other slot with block b+1; the
@@ -310,7 +402,7 @@ Result<std::vector<Marginal>> MarginalSetEvaluator::ComputeStreaming(
   // fixed-order integer merge as the in-memory pass, which is what keeps
   // the totals bit-identical to Compute at any thread count or block size.
   std::vector<std::vector<uint32_t>> shard_counts(num_shards);
-  for (auto& counts : shard_counts) counts.assign(total_cells_, 0);
+  for (auto& counts : shard_counts) counts.assign(pass.total_cells, 0);
 
   if (num_blocks > 0) decode_block(0, slots[0]);
   std::vector<const uint16_t*> ptrs(ncols);
@@ -329,20 +421,21 @@ Result<std::vector<Marginal>> MarginalSetEvaluator::ComputeStreaming(
       for (size_t s = 0; s < num_shards; ++s) {
         const size_t begin = rows_b * s / num_shards;
         const size_t end = rows_b * (s + 1) / num_shards;
-        pool->Submit([this, &ptrs, &shard_counts, begin, end, s] {
-          CountColumns(ptrs.data(), nullptr, begin, end,
+        pool->Submit([&pass, &ptrs, &shard_counts, begin, end, s] {
+          CountColumns(pass, ptrs.data(), nullptr, begin, end,
                        shard_counts[s].data());
         });
       }
       pool->Wait();
     } else {
-      CountColumns(ptrs.data(), nullptr, 0, rows_b, shard_counts[0].data());
+      CountColumns(pass, ptrs.data(), nullptr, 0, rows_b,
+                   shard_counts[0].data());
       if (b + 1 < num_blocks) decode_block(b + 1, slots[(b + 1) % 2]);
     }
   }
 
   IREDUCT_ASSIGN_OR_RETURN(std::vector<Marginal> marginals,
-                           ToMarginals(shard_counts));
+                           ToMarginals(pass, shard_counts));
   const double pass_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     pass_start)

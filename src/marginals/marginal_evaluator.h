@@ -2,19 +2,35 @@
 //
 // Computing the true tables for an all-k-way task with Marginal::Compute
 // costs one full dataset scan *per marginal* — 36 scans for the paper's 2D
-// census task. MarginalSetEvaluator instead prepares the per-marginal
-// column/stride tables once and counts every marginal in a single
-// row-sharded pass over the columnar Dataset: each row's attribute codes
-// are loaded once and folded into all marginals that reference them.
+// census task. MarginalSetEvaluator instead counts a few *joint tables* in
+// one row-sharded pass over the columnar Dataset and reads every requested
+// marginal out of one of them: a copy when the spec lists the table's
+// attributes, otherwise ProjectMarginal (the data-cube lattice). The pass
+// is table-major: each shard walks its rows once per joint table, one
+// CountCells call each (count_kernel.h), so its cost is about rows ×
+// tables, and every spec that joins another's table saves a walk.
+//
+// Grouping is planned per pass, because it depends on the rows a shard
+// counts. Specs are placed largest first:
+//   * a spec whose attribute list is a subsequence of a planned table
+//     joins the smallest such table that has at most as many cells as the
+//     pass has rows (the rule MarginalCache applies to cached sources), so
+//     reading it out never costs more than the walk it replaces;
+//   * otherwise a spec with an ascending attribute list widens the
+//     ascending table whose sorted union with it is smallest, while that
+//     union stays within CountCells' 16-bit index (65,536 cells) and one
+//     cell per 32 rows of a shard;
+//   * any other spec is counted as its own table.
 //
 // Parallelism and determinism: with a ThreadPool the row range is split
 // into one shard per worker, each shard counts into its own uint32
 // accumulator block, and the blocks are merged in fixed shard order.
 // Because cell counts are integers (every row contributes exactly +1 to
-// one cell per marginal), integer merging is associative and the final
-// double tables are bit-identical to sequential Marginal::Compute at any
-// thread count — the evaluation-layer analogue of the BitGen::Fork
-// substream discipline the batched iReduct rounds use.
+// one cell per table), integer merging is associative, and a projection
+// adds integer-valued doubles below 2^53, so the final double tables are
+// bit-identical to sequential Marginal::Compute at any thread count — the
+// evaluation-layer analogue of the BitGen::Fork substream discipline the
+// batched iReduct rounds use.
 #ifndef IREDUCT_MARGINALS_MARGINAL_EVALUATOR_H_
 #define IREDUCT_MARGINALS_MARGINAL_EVALUATOR_H_
 
@@ -36,9 +52,8 @@ class ColumnarFile;
 class MarginalSetEvaluator {
  public:
   /// Validates every spec against `schema` (distinct in-range attributes,
-  /// bounded cell counts — the same checks Marginal::Compute applies) and
-  /// builds the fused plan. The evaluator may be reused across datasets
-  /// that share the schema.
+  /// bounded cell counts — the same checks Marginal::Compute applies). The
+  /// evaluator may be reused across datasets that share the schema.
   static Result<MarginalSetEvaluator> Create(const Schema& schema,
                                              std::vector<MarginalSpec> specs);
 
@@ -64,20 +79,30 @@ class MarginalSetEvaluator {
   Result<std::vector<Marginal>> ComputeStreaming(
       const ColumnarFile& file, ThreadPool* pool = nullptr) const;
 
-  size_t num_specs() const { return plans_.size(); }
-  const MarginalSpec& spec(size_t i) const { return plans_[i].spec; }
-  /// Total cells across all planned marginals (the accumulator footprint).
-  size_t total_cells() const { return total_cells_; }
-
  private:
   struct SpecPlan {
     MarginalSpec spec;
-    std::vector<uint32_t> domain_sizes;  // aligned with spec.attributes
-    // Fused terms: for each attribute, (index into columns_, row-major
-    // stride). cell = offset + sum(stride * row_value[column]).
-    std::vector<std::pair<uint32_t, size_t>> terms;
-    size_t offset = 0;  // start of this marginal's block in the flat table
     size_t cells = 0;
+  };
+
+  // One table a pass counts, and the specs read out of it.
+  struct JointTable {
+    std::vector<uint32_t> attributes;
+    std::vector<uint32_t> domain_sizes;  // aligned with `attributes`
+    size_t cells = 0;
+    // Per attribute: (index into columns_, row-major stride), first
+    // attribute varying slowest. cell = offset + sum(stride * value).
+    std::vector<std::pair<uint32_t, size_t>> terms;
+    size_t offset = 0;  // start of this table in a shard's count block
+    std::vector<size_t> members;  // indices into plans_
+  };
+
+  struct Pass {
+    std::vector<JointTable> tables;
+    size_t total_cells = 0;  // a shard's count block
+    // Largest striping-eligible table (capped so the scratch stays
+    // cache-resident); sizes the per-shard lane scratch.
+    size_t max_kernel_cells = 0;
   };
 
   MarginalSetEvaluator() = default;
@@ -86,24 +111,26 @@ class MarginalSetEvaluator {
   // planned domain sizes.
   Status CheckSchema(const Schema& schema) const;
 
-  // Merges per-shard counts (each of size total_cells_) in shard order and
-  // builds one table per plan.
+  // Groups the specs into joint tables for a pass over `rows` rows split
+  // into `num_shards` shards (see the header comment).
+  Pass PlanPass(size_t rows, size_t num_shards) const;
+
+  // Merges per-shard counts (each of size pass.total_cells) in shard order
+  // and reads every spec out of its table, in spec order.
   Result<std::vector<Marginal>> ToMarginals(
+      const Pass& pass,
       const std::vector<std::vector<uint32_t>>& shard_counts) const;
 
   // Shared counting core: `cols[i]` is the code pointer for columns_[i]
   // (a full dataset column, or one decoded block in the streaming pass).
-  void CountColumns(const uint16_t* const* cols, const uint32_t* row_idx,
-                    size_t begin, size_t end, uint32_t* counts) const;
+  static void CountColumns(const Pass& pass, const uint16_t* const* cols,
+                           const uint32_t* row_idx, size_t begin, size_t end,
+                           uint32_t* counts);
 
   std::vector<SpecPlan> plans_;
   std::vector<uint32_t> columns_;  // sorted union of referenced attributes
-  size_t total_cells_ = 0;
-  size_t num_schema_attributes_ = 0;
-  // Largest cell count among striping-eligible plans (any arity, capped so
-  // the scratch stays cache-resident); sizes the per-shard lane scratch
-  // for the striped counts.
-  size_t max_kernel_cells_ = 0;
+  // Planned domain size of every schema attribute.
+  std::vector<uint32_t> domain_sizes_;
 };
 
 }  // namespace ireduct

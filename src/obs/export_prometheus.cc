@@ -50,10 +50,10 @@ std::string_view MetricHelp(std::string_view name) {
           {"marginals.cache_misses", "Marginal cache specs answered from a fused pass"},
           {"marginals.cache_resident_bytes", "Marginal cache resident payload bytes"},
           {"marginals.fused_passes", "Fused marginal evaluation passes"},
-          {"marginals.fused_plans", "Tables counted by fused marginal passes"},
+          {"marginals.fused_plans", "Tables counted by fused marginal passes (a joint table counts once)"},
           {"marginals.fused_rows", "Rows scanned by fused marginal passes"},
           {"marginals.fused_seconds", "Fused marginal pass latency"},
-          {"marginals.projected", "Marginal cache specs answered by projecting a larger table"},
+          {"marginals.projected", "Specs answered by projecting a larger table, cached or counted by the pass"},
           {"marginals.rows_per_second", "Rows/s of the last fused marginal pass"},
           {"marginals.shard_imbalance", "Max/mean shard time ratio of the last fused pass"},
           {"marginals.shard_seconds", "Per-shard fused marginal pass latency"},

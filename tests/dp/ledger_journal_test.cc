@@ -10,6 +10,7 @@
 #include "common/fault.h"
 #include "common/hash.h"
 #include "dp/privacy_accountant.h"
+#include "obs/metrics.h"
 
 namespace ireduct {
 namespace {
@@ -509,6 +510,39 @@ TEST(JournaledAccountantTest, ResumeCompactsATornTailAndCountsIt) {
   EXPECT_EQ(recovered->charges[1].epsilon, 0.5);
   EXPECT_EQ(recovered->charges[2].label, "after");
   EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+  std::remove(path.c_str());
+}
+
+TEST(JournaledAccountantTest, ResumeReadsTheJournalOnce) {
+  // The lifecycle hands its recovery to the opener, so a resume parses the
+  // journal once, clean or torn; a rewrite is not read back either.
+  const obs::Counter& recoveries =
+      obs::MetricsRegistry::Global().counter("journal.recoveries");
+  const std::string path = TestPath("resume_once");
+  for (const bool torn : {false, true}) {
+    std::remove(path.c_str());
+    {
+      auto ledger = CreateJournaledAccountant(path, 1.0);
+      ASSERT_TRUE(ledger.ok());
+      ASSERT_TRUE(ledger->accountant->Charge("kept", 0.25).ok());
+    }
+    if (torn) {
+      const std::string tail =
+          "{\"type\":\"grant\",\"seq\":2,\"epsilon\":0.5,\"lab";
+      WriteFile(path, ReadFile(path) + tail);
+    }
+    const uint64_t before = recoveries.value();
+    auto ledger = ResumeJournaledAccountant(path);
+    ASSERT_TRUE(ledger.ok()) << ledger.status().ToString();
+    EXPECT_EQ(recoveries.value() - before, 1u) << "torn " << torn;
+    EXPECT_EQ(ledger->journal->next_seq(), torn ? 3u : 2u);
+    ASSERT_TRUE(ledger->accountant->Charge("after", 0.125).ok());
+    auto recovered = LedgerJournal::Recover(path);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_FALSE(recovered->torn_tail);
+    ASSERT_EQ(recovered->charges.size(), torn ? 3u : 2u);
+    EXPECT_EQ(recovered->charges.back().label, "after");
+  }
   std::remove(path.c_str());
 }
 

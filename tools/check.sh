@@ -11,10 +11,13 @@
 #                             # plus the kernel micro benches, gated on
 #                             # every host: the counting kernel must beat
 #                             # the per-marginal reference loop by >= 2x
-#                             # (KERNEL_MIN_SPEEDUP), one NoiseDownGroup
-#                             # move the per-cell NoiseDown loop by >= 1.5x,
-#                             # and EvaluateQuery's column kernel the
-#                             # row-loop oracle (tests/support) by >= 5x
+#                             # (KERNEL_MIN_SPEEDUP), the fused pass with
+#                             # joint tables the same specs counted one
+#                             # table each on the scan_10m shape by
+#                             # >= 1.1x, one NoiseDownGroup move the
+#                             # per-cell NoiseDown loop by >= 1.5x, and
+#                             # EvaluateQuery's column kernel the row-loop
+#                             # oracle (tests/support) by >= 5x
 #   tools/check.sh registry   # Mechanism-registry smoke: builds ireduct_tool,
 #                             # asserts --list-mechanisms enumerates the
 #                             # builtin set and matches its golden copy,
@@ -41,8 +44,8 @@
 #                             # metrics registry, the parallel trial
 #                             # runner, and the multi-tenant query server
 #                             # (admission pipeline + wire protocol), with
-#                             # the Phase B chain and event capture cases
-#                             # repeated 20 times
+#                             # the Phase B chain, event capture and
+#                             # joint-table parity cases repeated 20 times
 #   tools/check.sh service    # Query-service smoke: the admission /
 #                             # batching / crash-recovery suites, the
 #                             # service_throughput bench at reduced scale
@@ -216,6 +219,11 @@ if [ "$mode" = threads ]; then
   echo "== TSan: concurrent marginal lattice, 20 repeats =="
   IREDUCT_THREADS=4 ./build-tsan/tests/marginal_cache_test --gtest_repeat=20 \
     --gtest_filter='*ConcurrentLattice*'
+  # Shards count joint tables into their own blocks with thread_local lane
+  # scratch, at 2 and 8 threads, in memory and streamed.
+  echo "== TSan: randomized joint-table parity, 20 repeats =="
+  IREDUCT_THREADS=4 ./build-tsan/tests/marginal_evaluator_test \
+    --gtest_repeat=20 --gtest_filter='*JointTables*'
   exit 0
 fi
 
@@ -486,22 +494,29 @@ if [ "$mode" = perf ]; then
    SCALING_IREDUCT_ONLY=1 SCALING_M=100,1000 NAIVE_MAX_M=1000 \
      ./scaling_study)
   # Micro bench pairs, each a fast path vs its bit-identical reference.
-  # All three are plain C++ with no per-CPU variant, so each floor
+  # All four are plain C++ with no per-CPU variant, so each floor
   # applies on every host:
   #   * the counting kernel (CountCells) vs the per-marginal reference
   #     loop (Marginal::Compute): >= 2x (KERNEL_MIN_SPEEDUP).
+  #   * the fused pass over 24 sets of 2-3 scan-pool specs on one
+  #     2.5M-row shard: joint tables vs one CountCells call per spec,
+  #     >= 1.1x. On a shared 4-vCPU Xeon it measured 1.24x (median of 5
+  #     repetitions; single runs 1.13-1.68x), so the floor sits below
+  #     the slowest run seen.
   #   * one iReduct group move at the paper bench's operating point through
   #     NoiseDownGroup vs the per-cell NoiseDown loop: >= 1.5x.
   #   * one conjunctive count (Gender = 1, 400k census rows) through
   #     EvaluateQuery's column kernel vs the row-loop oracle: >= 5x.
   (cd build/bench &&
    ./micro_primitives \
-     --benchmark_filter='BM_CountPlan(Kernel|ReferenceLoop)$|BM_NoiseDown(Group|PerCell)$|BM_CountQuery' \
+     --benchmark_filter='BM_CountPlan(Kernel|ReferenceLoop)$|BM_MarginalSet(Fused|PerSpec)ScanShape$|BM_NoiseDown(Group|PerCell)$|BM_CountQuery' \
      --benchmark_out=BENCH_KERNELS.json --benchmark_out_format=json)
   awk -v kernel_min="${KERNEL_MIN_SPEEDUP:-2}" '
     BEGIN {
       pair["BM_CountPlanKernel"] = "BM_CountPlanReferenceLoop"
       min_speedup["BM_CountPlanKernel"] = kernel_min
+      pair["BM_MarginalSetFusedScanShape"] = "BM_MarginalSetPerSpecScanShape"
+      min_speedup["BM_MarginalSetFusedScanShape"] = 1.1
       pair["BM_NoiseDownGroup"] = "BM_NoiseDownPerCell"
       min_speedup["BM_NoiseDownGroup"] = 1.5
       pair["BM_CountQuery"] = "BM_CountQueryRowLoop"
